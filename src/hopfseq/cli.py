@@ -14,11 +14,23 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catexpr import CatExpr, center, cpq_category, fpdim, is_integral, is_pointed, rep_g, tambara_yamagami, vec_g
+from .catexpr import (
+    CatExpr,
+    LedgerError,
+    center,
+    cpq_category,
+    fpdim,
+    is_integral,
+    is_pointed,
+    rep_g,
+    tambara_yamagami,
+    vec_g,
+)
 from .certificates import a6_simplicity_check, family_simplicity_check
 from .cocycles import trivial_paired_cocycles
 from .exact import make_abelian_sequence, make_group_quotient_sequence, verify_exact_sequence, dualize_sequence
 from .groups import (
+    ORDER_CAP,
     CapExceeded,
     GroupError,
     PermGroup,
@@ -31,7 +43,7 @@ from .hopf import HopfError, bicrossed_product, drinfeld_double, dual_group_alge
 from .io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from .matched import from_factorization
 from .perm import PermParseError, parse_cycles
-from .series_cat import comp_series_cat
+from .series_cat import SeriesError, comp_series_cat
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -49,7 +61,7 @@ def _resolve_group(spec: str, cap: int) -> PermGroup:
     path = Path(spec)
     if path.suffix == ".grp" or path.exists():
         try:
-            return load_group(path.read_text(), name=path.stem)
+            return load_group(path.read_text(), name=path.stem, cap=cap)
         except OSError as exc:
             raise CliError(f"cannot read {spec}: {exc}", EXIT_PARSE)
         except FormatError as exc:
@@ -75,21 +87,34 @@ def _parse_expr(spec: str, cap: int) -> CatExpr:
     if low.startswith("rep:"):
         return rep_g(_resolve_group(spec[4:], cap))
     if low.startswith("ty:"):
-        try:
-            return tambara_yamagami(int(spec[3:]))
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
+        return tambara_yamagami(*_parse_ints(spec[3:], 1))
     if low.startswith("cpq:"):
-        try:
-            p, q = (int(t) for t in spec[4:].split(","))
-            return cpq_category(p, q)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
+        return cpq_category(*_parse_ints(spec[4:], 2))
     if low == "vecs6":
         return vec_g(named_group("s6"))
     if low == "center-vecs6":
         return center(vec_g(named_group("s6")))
     raise CliError(f"cannot parse category expression {spec!r}", EXIT_PARSE)
+
+
+def _parse_ints(text: str, count: int) -> list[int]:
+    """Exactly ``count`` comma-separated integers."""
+    try:
+        nums = [int(t) for t in text.split(",")]
+    except ValueError:
+        nums = []
+    if len(nums) != count:
+        raise CliError(f"expected {count} comma-separated integer(s), got {text!r}",
+                       EXIT_PARSE)
+    return nums
+
+
+def _env_cap() -> int:
+    text = os.environ.get("HOPFSEQ_CAP", str(ORDER_CAP))
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"HOPFSEQ_CAP must be an integer, got {text!r}", EXIT_PARSE)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +207,7 @@ def _build_algebra(args):
 
 
 def cmd_build(args, out) -> int:
-    try:
-        H = _build_algebra(args)
-    except HopfError as exc:
-        raise CliError(str(exc), EXIT_CAP if "cap" in str(exc) else EXIT_VERIFY)
-    except GroupError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
+    H = _build_algebra(args)
     report = verify_hopf_axioms(H)
     print(f"dim {H.dim}, conductor {H.field.conductor}, "
           f"axioms {'PASS' if report.ok else 'FAIL'}", file=out)
@@ -266,11 +286,8 @@ def cmd_certify(args, out) -> int:
     target = args.target.lower()
     if target == "a6-simple":
         cert = a6_simplicity_check()
-    elif target.startswith("ty:"):
-        cert = family_simplicity_check(tambara_yamagami(int(target[3:])))
-    elif target.startswith("cpq:"):
-        p, q = (int(t) for t in target[4:].split(","))
-        cert = family_simplicity_check(cpq_category(p, q))
+    elif target.startswith(("ty:", "cpq:")):
+        cert = family_simplicity_check(_parse_expr(target, args.cap_order))
     else:
         raise CliError(f"unknown certificate target {args.target!r}", EXIT_PARSE)
     print(f"target: {cert.target}", file=out)
@@ -315,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact sequences of Hopf algebras and fusion-category "
                     "dimension arithmetic")
     ap.add_argument("--version", action="version", version=__version__)
-    default_cap = int(os.environ.get("HOPFSEQ_CAP", "10000"))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap-order", type=int, default=default_cap,
-                        help="largest allowed group order (env HOPFSEQ_CAP)")
+    common.add_argument("--cap-order", type=int, default=None,
+                        help=f"largest allowed group order (default: env HOPFSEQ_CAP, "
+                             f"else {ORDER_CAP})")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("table", help="subgroup classes of a group", parents=[common])
@@ -370,6 +387,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, CliError):
+        return exc.code
+    if isinstance(exc, CapExceeded):
+        return EXIT_CAP
+    if isinstance(exc, HopfError):
+        return EXIT_CAP if "cap" in str(exc) else EXIT_VERIFY
+    return EXIT_PARSE
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     ap = build_parser()
@@ -378,16 +405,13 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     try:
+        if args.cap_order is None:
+            args.cap_order = _env_cap()
         return args.func(args, out)
-    except CliError as exc:
+    except (CliError, CapExceeded, FormatError, GroupError, HopfError, LedgerError,
+            SeriesError) as exc:
         print(f"error: {exc}", file=out)
-        return exc.code
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_CAP
-    except FormatError as exc:
-        print(f"error: {exc}", file=out)
-        return EXIT_PARSE
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ factorizations.  Everything is exhaustive and exact; sizes are capped
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -219,16 +220,35 @@ def center(G: PermGroup) -> list[Perm]:
 
 
 def commutator_subgroup(G: PermGroup) -> PermGroup:
-    """Derived subgroup, by closing the full set of commutators."""
-    comms = set()
-    elems = G.elements
-    inv = {x: inverse(x) for x in elems}
-    for a in elems:
-        ia = inv[a]
-        for b in elems:
-            comms.add(compose(compose(a, b), compose(ia, inv[b])))
-    closed = closure(sorted(comms), G.degree, cap=G.order)
-    return from_elements(G.degree, closed)
+    """Derived subgroup G', as the normal closure of the generator commutators.
+
+    Once the generators of G commute modulo a normal N, G/N is abelian, so G'
+    is the least normal subgroup holding every [a, b] = a b a^-1 b^-1 with a,
+    b generators of G.  The closure of those commutators grows by each
+    conjugate g n g^-1 (g a generator of G, n a generator found so far) that
+    falls outside it, until none does; then it is normal.
+    """
+    e = G.identity()
+    gens = G.generators
+    ngens: list[Perm] = []
+    for a in gens:
+        for b in gens:
+            c = compose(compose(a, b), compose(inverse(a), inverse(b)))
+            if c != e and c not in ngens:
+                ngens.append(c)
+    elems = closure(ngens, G.degree, cap=G.order)
+    eset = set(elems)
+    todo = list(ngens)
+    while todo:
+        n = todo.pop()
+        for g in gens:
+            c = conjugate(g, n)
+            if c not in eset:
+                ngens.append(c)
+                todo.append(c)
+                elems = closure(ngens, G.degree, cap=G.order)
+                eset = set(elems)
+    return PermGroup(G.degree, ngens, _elements=elems)
 
 
 def abelianization_order(G: PermGroup) -> int:
@@ -428,79 +448,176 @@ class SubgroupClassRow:
         return (self.iso_label, self.order, self.char_group_order, self.normalizer_index)
 
 
-def _cyclic_subgroups(G: PermGroup) -> list[tuple[frozenset, Perm]]:
-    """All cyclic subgroups, each with a generator, deduplicated."""
-    seen: dict[frozenset, Perm] = {}
-    e = G.identity()
-    for x in G.elements:
-        if x == e:
-            continue
-        powers = [e, x]
-        y = compose(x, x)
-        while y != e:
-            powers.append(y)
-            y = compose(y, x)
-        key = frozenset(powers)
-        if key not in seen:
-            seen[key] = x
-    return sorted(seen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+class _Cayley:
+    """Multiplication and conjugation tables over the indices of G.elements.
+
+    Index i stands for ``G.elements[i]``.  The elements are sorted, so 0 is
+    the identity and sorted index lists order like sorted perm lists.
+    ``mul[a][b]`` is the index of a*b and ``conj[g][x]`` that of g x g^-1;
+    each row is an ``array('H')``, which holds |G| <= SUBGROUP_CAP.  The rows
+    are filled by walking G from the identity along its generators, using
+    row(a*s) = row(a) o row(s) for both tables.
+    """
+
+    __slots__ = ("elements", "index", "gens", "mul", "conj")
+
+    def __init__(self, G: PermGroup):
+        elems = G.elements
+        index = {x: i for i, x in enumerate(elems)}
+        gens = sorted({index[s] for s in G.generators} - {0})
+        gen_mul = {s: [index[compose(elems[s], x)] for x in elems] for s in gens}
+        gen_conj = {s: [index[conjugate(elems[s], x)] for x in elems] for s in gens}
+        mul: list = [None] * len(elems)
+        conj: list = [None] * len(elems)
+        mul[0] = conj[0] = array("H", range(len(elems)))
+        frontier = [0]
+        while frontier:
+            new = []
+            for a in frontier:
+                ma, ca = mul[a], conj[a]
+                for s in gens:
+                    b = ma[s]
+                    if mul[b] is None:
+                        mul[b] = array("H", [ma[y] for y in gen_mul[s]])
+                        conj[b] = array("H", [ca[y] for y in gen_conj[s]])
+                        new.append(b)
+            frontier = new
+        self.elements = elems
+        self.index = index
+        self.gens = gens
+        self.mul = mul
+        self.conj = conj
+
+    def indices(self, perms) -> frozenset:
+        index = self.index
+        return frozenset([index[x] for x in perms])
+
+    def perms(self, idx) -> frozenset:
+        elems = self.elements
+        return frozenset([elems[i] for i in idx])
+
+    def normalizer(self, sub: frozenset) -> list:
+        """The conjugation rows of the g in G with g sub g^-1 = sub."""
+        return [row for row in self.conj if all(row[x] in sub for x in sub)]
+
+
+# one group's tables at a time: a lattice and the factorizations read from it
+# share them, and a larger cache would hold megabytes per group
+@lru_cache(maxsize=1)
+def _cayley(G: PermGroup) -> _Cayley:
+    return _Cayley(G)
+
+
+def _join(mul: list, H: frozenset, gens: tuple[int, ...]) -> frozenset:
+    """<H, gens> for a subgroup H whose generators are among ``gens``.
+
+    Dimino's method: the result is a union of left cosets tH, and the coset
+    representatives are closed under left multiplication by ``gens``.
+    """
+    elems = set(H)
+    reps = [0]
+    for t in reps:
+        for s in gens:
+            u = mul[s][t]
+            if u not in elems:
+                row = mul[u]
+                elems.update([row[h] for h in H])
+                reps.append(u)
+    return frozenset(elems)
 
 
 @lru_cache(maxsize=64)
 def _subgroup_lattice(G: PermGroup) -> tuple[tuple[frozenset, tuple[Perm, ...], tuple[frozenset, ...]], ...]:
     """Conjugacy classes of subgroups: (representative set, gens, full orbit).
 
-    Bottom-up: seed with the cyclic subgroups, then close under joins of
-    class representatives with conjugates of cyclic subgroups.  Every
-    subgroup is a join of its cyclic subgroups, so the fixpoint is complete.
+    Bottom-up: seed with the cyclic subgroups, each with its least generator,
+    then close under joins of class representatives with cyclic subgroups.
+    Every subgroup is a join of its cyclic subgroups, so the fixpoint is
+    complete.  A class is listed when first found; its representative is the
+    least orbit member under ``key=sorted``, and its generators are those of
+    the subgroup found, conjugated by the least g in G that carries it to the
+    representative.  The work runs on element indices over the Cayley tables
+    of G; perm frozensets are formed only for the result.
     """
     if G.order > SUBGROUP_CAP:
         raise CapExceeded(f"subgroup lattice needs |G| <= {SUBGROUP_CAP}")
-    e = G.identity()
-    cyclics = _cyclic_subgroups(G)
-    gelems = G.elements
+    cay = _cayley(G)
+    mul, conj = cay.mul, cay.conj
+    gen_conj = [conj[s] for s in cay.gens]
+
+    cyclic_gen: dict[frozenset, int] = {}
+    for x in range(1, G.order):
+        row = mul[x]
+        powers = [0, x]
+        y = row[x]
+        while y:
+            powers.append(y)
+            y = row[y]
+        cyclic_gen.setdefault(frozenset(powers), x)
+    cyclics = sorted(cyclic_gen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
 
     known: dict[frozenset, int] = {}
-    classes: list[tuple[frozenset, tuple[Perm, ...], tuple[frozenset, ...]]] = []
+    classes: list[tuple[frozenset, tuple[int, ...], list[frozenset]]] = []
 
-    def register(sub: frozenset, gens: tuple[Perm, ...]) -> None:
+    def register(sub: frozenset, gens: tuple[int, ...]) -> None:
         orbit = {sub}
-        for g in gelems:
-            orbit.add(frozenset(conjugate(g, x) for x in sub))
+        frontier = [sub]
+        while frontier:
+            new = []
+            for member in frontier:
+                for row in gen_conj:
+                    image = frozenset([row[x] for x in member])
+                    if image not in orbit:
+                        orbit.add(image)
+                        new.append(image)
+            frontier = new
         orbit_sorted = sorted(orbit, key=sorted)
         rep = orbit_sorted[0]
-        if rep == sub:
-            rep_gens = gens
-        else:
-            rep_gens = None
-            for g in gelems:
-                if frozenset(conjugate(g, x) for x in sub) == rep:
-                    rep_gens = tuple(conjugate(g, x) for x in gens)
-                    break
-            assert rep_gens is not None
+        rep_gens = gens
+        if rep != sub:
+            row = next(row for row in conj if all(row[x] in rep for x in sub))
+            rep_gens = tuple(row[x] for x in gens)
         cid = len(classes)
-        classes.append((rep, rep_gens, tuple(orbit_sorted)))
+        classes.append((rep, rep_gens, orbit_sorted))
         for member in orbit_sorted:
             known[member] = cid
 
-    register(frozenset([e]), ())
+    register(frozenset([0]), ())
     for sub, gen in cyclics:
         if sub not in known:
             register(sub, (gen,))
 
+    # Conjugating by n in N(rep) carries <rep, C> to <rep, nCn^-1>, so of each
+    # N(rep)-orbit of cyclic subgroups only the first is joined: the others
+    # give subgroups already known (the cyclic extension method, Neubueser 1960).
+    position = {sub: pos for pos, (sub, _gen) in enumerate(cyclics)}
     idx = 0
     while idx < len(classes):
         rep, rep_gens, _orbit = classes[idx]
         idx += 1
         if len(rep) == G.order:
             continue
-        for sub, gen in cyclics:
-            if sub <= rep:
+        normalizer = cay.normalizer(rep)
+        tried = bytearray(len(cyclics))
+        for pos, (sub, gen) in enumerate(cyclics):
+            if tried[pos] or sub <= rep:
                 continue
-            join = frozenset(closure(list(rep_gens) + [gen], G.degree, cap=G.order))
+            for row in normalizer:
+                tried[position[frozenset([row[x] for x in sub])]] = 1
+            join = _join(mul, rep, rep_gens + (gen,))
             if join not in known:
-                register(join, tuple(rep_gens) + (gen,))
-    return tuple(classes)
+                register(join, rep_gens + (gen,))
+
+    # convert class by class, releasing the index sets as we go, so the two
+    # forms of the lattice are never held in full at once
+    known.clear()
+    elems = G.elements
+    lattice = []
+    for cid, (rep, gens, orbit) in enumerate(classes):
+        classes[cid] = None
+        lattice.append((cay.perms(rep), tuple(elems[i] for i in gens),
+                        tuple(cay.perms(member) for member in orbit)))
+    return tuple(lattice)
 
 
 def subgroup_classes(G: PermGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupClassRow]:
@@ -532,7 +649,8 @@ def normal_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """All normal subgroups, via joins of element conjugacy classes."""
     classes = conjugacy_classes(G)
     e = G.identity()
-    found: set[frozenset] = {frozenset([e])}
+    # each subgroup found, with the conjugacy classes that generate it
+    found: dict[frozenset, list[Perm]] = {frozenset([e]): []}
     frontier = [frozenset([e])]
     while frontier:
         new: list[frozenset] = []
@@ -541,9 +659,10 @@ def normal_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
                 if cls[0] == e or cls[0] in base:
                     continue
                 # a subgroup generated by full conjugacy classes is normal
-                sub = frozenset(closure(sorted(base) + cls, G.degree, cap=G.order))
+                gens = found[base] + cls
+                sub = frozenset(closure(gens, G.degree, cap=G.order))
                 if sub not in found:
-                    found.add(sub)
+                    found[sub] = gens
                     new.append(sub)
         frontier = new
     return tuple(from_elements(G.degree, sub)
@@ -641,6 +760,7 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
     bijection; the larger factor is reported on the left.
     """
     lattice = _subgroup_lattice(G)
+    cay = _cayley(G)
     by_order: dict[int, list[int]] = {}
     for i, (rep, _gens, _orbit) in enumerate(lattice):
         by_order.setdefault(len(rep), []).append(i)
@@ -655,17 +775,17 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
             continue  # larger factor goes on the left; swap handled below
         if proper_only and b == 1:
             continue
-        normA = [g for g in G.elements
-                 if frozenset(conjugate(g, x) for x in repA) == repA]
+        normA = cay.normalizer(cay.indices(repA))
         for j in by_order.get(b, []):
             _repB, _gensB, orbitB = lattice[j]
             found: set[frozenset] = set()
             for candB in orbitB:
                 if len(repA & candB) != 1:
                     continue
-                if any(frozenset(conjugate(n, x) for x in candB) in found for n in normA):
+                idxB = cay.indices(candB)
+                if any(frozenset([row[x] for x in idxB]) in found for row in normA):
                     continue
-                found.add(candB)
+                found.add(idxB)
                 fact = ExactFactorizationG(
                     ambient=G,
                     left=PermGroup(G.degree, list(gensA), _elements=tuple(sorted(repA))),
@@ -682,11 +802,10 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
         for prev in deduped:
             if (prev.left.order, prev.right.order) != (fact.right.order, fact.left.order):
                 continue
-            fa, fb = fact.left.element_set(), fact.right.element_set()
-            pa, pb = prev.left.element_set(), prev.right.element_set()
-            if any(frozenset(conjugate(g, x) for x in fa) == pb
-                   and frozenset(conjugate(g, x) for x in fb) == pa
-                   for g in G.elements):
+            fa, fb = cay.indices(fact.left.elements), cay.indices(fact.right.elements)
+            pa, pb = cay.indices(prev.left.elements), cay.indices(prev.right.elements)
+            if any(all(row[x] in pb for x in fa) and all(row[x] in pa for x in fb)
+                   for row in cay.conj):
                 dup = True
                 break
         if not dup:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cyclotomic import get_field
-from .groups import PermGroup
+from .groups import ORDER_CAP, PermGroup
 from .hopf import HopfAlgebra
 from .matched import MatchedPair
 from .perm import PermParseError, cycle_string, parse_cycles
@@ -32,7 +32,7 @@ def dump_group(G: PermGroup) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_group(text: str, name: str = "") -> PermGroup:
+def load_group(text: str, name: str = "", cap: int = ORDER_CAP) -> PermGroup:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [(i + 1, ln) for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
     if not lines:
@@ -48,7 +48,7 @@ def load_group(text: str, name: str = "") -> PermGroup:
             gens.append(parse_cycles(ln, degree))
         except PermParseError as exc:
             raise FormatError(str(exc), lno) from exc
-    return PermGroup(degree, gens, name=name)
+    return PermGroup(degree, gens, name=name, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,45 @@ def test_exit_codes():
     assert code == EXIT_PARSE
 
 
+# (argv, environment, exit code) for malformed input; each run must end with
+# that code and one error line, never a traceback
+BAD_INPUTS = [
+    (("certify", "ty:x"), {}, EXIT_PARSE),
+    (("certify", "ty:4"), {}, EXIT_PARSE),
+    (("certify", "cpq:3"), {}, EXIT_PARSE),
+    (("ledger", "cpq:3,x"), {}, EXIT_PARSE),
+    (("table", "a5"), {"HOPFSEQ_CAP": "abc"}, EXIT_PARSE),
+    (("verify", "sequence", "quotient:s4:(1 2)"), {}, EXIT_PARSE),
+    (("verify", "sequence", "double:a6"), {}, EXIT_CAP),
+]
+
+
+@pytest.mark.parametrize("argv, env, code", BAD_INPUTS)
+def test_bad_input_gives_one_error_line(monkeypatch, argv, env, code):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    first = run_cli(*argv)
+    assert first[0] == code
+    lines = first[1].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert run_cli(*argv) == first
+
+
+def test_cap_order_applies_to_group_files(tmp_path, monkeypatch):
+    s8 = tmp_path / "s8.grp"
+    s8.write_text("degree 8\n(1 2 3 4 5 6 7 8)\n(1 2)\n")
+    code, text = run_cli("group", str(s8))
+    assert code == EXIT_CAP and "cap 10000" in text
+    code, text = run_cli("group", str(s8), "--cap-order", "50000")
+    assert code == EXIT_OK and text.startswith("order 40320,")
+    monkeypatch.setenv("HOPFSEQ_CAP", "50000")
+    assert run_cli("group", str(s8)) == (code, text)
+    a6 = tmp_path / "a6.grp"
+    a6.write_text(dump_group(alternating(6)))
+    code, text = run_cli("table", str(a6), "--cap-order", "100")
+    assert code == EXIT_CAP and "cap 100" in text
+
+
 def test_group_file_round_trip(tmp_path):
     G = alternating(6)
     path = tmp_path / "a6.grp"

@@ -23,11 +23,12 @@ from hopfseq import (
 from hopfseq.groups import (
     abelian_invariants,
     all_composition_factor_multisets,
+    closure,
     commutator_subgroup,
     is_simple,
     quotient_group,
 )
-from hopfseq.perm import parse_cycles, perm_order
+from hopfseq.perm import compose, inverse, parse_cycles, perm_order
 
 # Numeric content of the two subgroup tables: (iso, |T|, |T^|, [N:T]).
 A6_TABLE_ROWS = sorted([
@@ -117,21 +118,43 @@ def test_class_metrics_examples(a6, a6_rows):
     assert class_metrics(v4, v4) == (1, 4, 4)
 
 
-def test_char_group_order_two_routes():
-    # commutator closure against the full pairwise commutator set
-    for G in [symmetric(3), symmetric(4), dihedral(4), quaternion8(), dihedral(6)]:
-        derived = commutator_subgroup(G)
-        assert G.order % derived.order == 0
-        comms = set()
-        from hopfseq.perm import compose, inverse
+def _derived_by_all_commutators(G):
+    """Oracle: the closure of all |G|^2 commutators a b a^-1 b^-1."""
+    inv = {x: inverse(x) for x in G.elements}
+    comms = {compose(compose(a, b), compose(inv[a], inv[b]))
+             for a in G.elements for b in G.elements}
+    return set(closure(sorted(comms), G.degree, cap=G.order))
 
-        for a in G.elements:
-            for b in G.elements:
-                comms.add(compose(compose(a, b), compose(inverse(a), inverse(b))))
-        assert comms <= derived.element_set()
+
+def test_char_group_order_two_routes(a6_rows, s6):
+    # normal closure of the generator commutators against the full sweep, on
+    # every class representative of S4, S5, A6, Q8 and D6 (S5 and A6 included
+    # as their own top classes), and on S6
+    reps = [r.representative
+            for G in (symmetric(4), symmetric(5), quaternion8(), dihedral(6))
+            for r in subgroup_classes(G)]
+    reps += [r.representative for r in a6_rows] + [s6]
+    assert len(reps) == 69
+    for G in reps:
+        assert commutator_subgroup(G).element_set() == _derived_by_all_commutators(G)
     assert abelianization_order(symmetric(3)) == 2
     assert abelianization_order(quaternion8()) == 4
     assert abelianization_order(dihedral(4)) == 4
+
+
+@pytest.mark.parametrize("name, n_classes, n_subgroups",
+                         [("s5", 19, 156), ("a6", 22, 501), ("s6", 56, 1455)])
+def test_subgroup_lattice_counts_and_representatives(name, n_classes, n_subgroups):
+    G = named_group(name)
+    rows = subgroup_classes(G)
+    assert len(rows) == n_classes
+    assert sum(len(r.conjugates) for r in rows) == n_subgroups
+    assert len({m for r in rows for m in r.conjugates}) == n_subgroups
+    for r in rows:
+        T = r.representative
+        assert list(r.conjugates) == sorted(r.conjugates, key=sorted)
+        assert T.element_set() == r.conjugates[0]
+        assert set(closure(list(T.generators), G.degree)) == T.element_set()
 
 
 def test_abelian_invariants():
@@ -207,8 +230,6 @@ def test_exact_factorization_chain_pieces():
 
 
 def test_exact_factorization_bijection_property(a5):
-    from hopfseq.perm import compose
-
     for f in exact_factorizations(a5, proper_only=False):
         seen = {compose(a, b) for a in f.left.elements for b in f.right.elements}
         assert len(seen) == a5.order
