@@ -39,8 +39,16 @@ from .groups import (
     named_group,
     subgroup_classes,
 )
-from .hopf import HopfError, bicrossed_product, drinfeld_double, dual_group_algebra, group_algebra, verify_hopf_axioms
-from .io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
+from .hopf import (
+    HOPF_DIM_CAP,
+    HopfError,
+    bicrossed_product,
+    drinfeld_double,
+    dual_group_algebra,
+    group_algebra,
+    verify_hopf_axioms,
+)
+from .io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf, read_hopf_header
 from .matched import from_factorization
 from .perm import PermParseError, parse_cycles
 from .series_cat import SeriesError, comp_series_cat
@@ -67,7 +75,7 @@ def _resolve_group(spec: str, cap: int) -> PermGroup:
         except FormatError as exc:
             raise CliError(f"{spec}: {exc}", EXIT_PARSE)
     try:
-        G = named_group(spec)
+        G = named_group(spec, cap)
     except GroupError as exc:
         raise CliError(str(exc), EXIT_PARSE)
     except CapExceeded as exc:
@@ -107,6 +115,12 @@ def _parse_ints(text: str, count: int) -> list[int]:
         raise CliError(f"expected {count} comma-separated integer(s), got {text!r}",
                        EXIT_PARSE)
     return nums
+
+
+def _check_hopf_dim(dim: int) -> None:
+    """Refuse, before any work, an algebra too large to verify."""
+    if dim > HOPF_DIM_CAP:
+        raise CliError(f"dimension {dim} exceeds cap {HOPF_DIM_CAP}", EXIT_CAP)
 
 
 def _env_cap() -> int:
@@ -183,12 +197,12 @@ def cmd_factorize(args, out) -> int:
 
 def _build_algebra(args):
     kind = args.kind
-    if kind == "double":
-        return drinfeld_double(_resolve_group(args.target, args.cap_order))
-    if kind == "group":
-        return group_algebra(_resolve_group(args.target, args.cap_order))
-    if kind == "dual":
-        return dual_group_algebra(_resolve_group(args.target, args.cap_order))
+    if kind in ("group", "dual", "double"):
+        G = _resolve_group(args.target, args.cap_order)
+        _check_hopf_dim(G.order ** 2 if kind == "double" else G.order)
+        build = {"group": group_algebra, "dual": dual_group_algebra,
+                 "double": drinfeld_double}[kind]
+        return build(G)
     if kind == "bicrossed":
         E = _resolve_group(args.target, args.cap_order)
         if not (args.g_gens and args.gamma_gens):
@@ -200,6 +214,7 @@ def _build_algebra(args):
             Gamma = E.subgroup(hg)
         except (PermParseError, GroupError) as exc:
             raise CliError(str(exc), EXIT_PARSE)
+        _check_hopf_dim(G.order * Gamma.order)
         mp = from_factorization(E, G, Gamma)
         return bicrossed_product(mp, trivial_paired_cocycles(G, Gamma, args.conductor),
                                  conductor=args.conductor)
@@ -219,8 +234,12 @@ def cmd_build(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     if args.what == "hopf":
+        path = Path(args.target)
         try:
-            H = load_hopf(Path(args.target).read_text())
+            with path.open() as fh:
+                dim, _, _ = read_hopf_header(fh)
+            _check_hopf_dim(dim)
+            H = load_hopf(path.read_text())
         except OSError as exc:
             raise CliError(str(exc), EXIT_PARSE)
         except FormatError as exc:

@@ -64,7 +64,7 @@ class CycField:
         self.modulus = mod
         self.zero = CycScalar(self, (_ZERO,) * self.degree)
         self.one = CycScalar(self, (_ONE,) + (_ZERO,) * (self.degree - 1))
-        self._zeta_cache: dict[int, CycScalar] = {}
+        self._zeta_cache: dict[int, CycScalar] = {0: self.one}
 
     def __repr__(self) -> str:
         return f"CycField({self.conductor})"
@@ -76,9 +76,15 @@ class CycField:
         return hash(("CycField", self.conductor))
 
     def scalar(self, coords) -> "CycScalar":
+        """The element with these coordinates; 0 and 1 come back as the
+        field's own ``zero`` and ``one`` objects, which callers may match by
+        identity."""
         coords = tuple(Fraction(c) for c in coords)
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
+        for canonical in (self.zero, self.one):
+            if coords == canonical.coords:
+                return canonical
         return CycScalar(self, coords)
 
     def from_rational(self, q) -> "CycScalar":
@@ -128,7 +134,7 @@ class CycScalar:
         self.coords = coords
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def is_one(self) -> bool:
         return self.coords[0] == 1 and all(c == 0 for c in self.coords[1:])
@@ -150,6 +156,10 @@ class CycScalar:
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         self._check(other)
+        if other is self.field.one:
+            return self
+        if self is self.field.one:
+            return other
         a, b = self.coords, other.coords
         d = self.field.degree
         if d == 1:

@@ -146,22 +146,22 @@ def trivial_group(degree: int = 1) -> PermGroup:
 # builtin groups
 
 
-def cyclic(n: int) -> PermGroup:
+def cyclic(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n == 1:
         return trivial_group()
-    return PermGroup(n, [tuple(range(1, n)) + (0,)], name=f"Z{n}")
+    return PermGroup(n, [tuple(range(1, n)) + (0,)], name=f"Z{n}", cap=cap)
 
 
-def symmetric(n: int) -> PermGroup:
+def symmetric(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n <= 1:
         return trivial_group(max(n, 1))
     if n == 2:
         return PermGroup(2, [(1, 0)], name="S2")
     gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
-    return PermGroup(n, gens, name=f"S{n}")
+    return PermGroup(n, gens, name=f"S{n}", cap=cap)
 
 
-def alternating(n: int) -> PermGroup:
+def alternating(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n <= 2:
         return trivial_group(max(n, 1))
     cyc3 = (1, 2, 0) + tuple(range(3, n))
@@ -169,16 +169,16 @@ def alternating(n: int) -> PermGroup:
         big = tuple(range(1, n)) + (0,)
     else:
         big = (0,) + tuple(range(2, n)) + (1,)
-    return PermGroup(n, [cyc3, big], name=f"A{n}")
+    return PermGroup(n, [cyc3, big], name=f"A{n}", cap=cap)
 
 
-def dihedral(n: int) -> PermGroup:
+def dihedral(n: int, cap: int = ORDER_CAP) -> PermGroup:
     """Dihedral group of order 2n acting on an n-gon."""
     if n < 3:
         raise GroupError("dihedral needs n >= 3")
     rot = tuple(range(1, n)) + (0,)
     refl = tuple((n - i) % n for i in range(n))
-    return PermGroup(n, [rot, refl], name=f"D{n}")
+    return PermGroup(n, [rot, refl], name=f"D{n}", cap=cap)
 
 
 def klein_four() -> PermGroup:
@@ -192,19 +192,20 @@ def quaternion8() -> PermGroup:
     return PermGroup(8, [i, j], name="Q8")
 
 
-def direct_product(A: PermGroup, B: PermGroup, name: str = "") -> PermGroup:
+def direct_product(A: PermGroup, B: PermGroup, name: str = "",
+                   cap: int = ORDER_CAP) -> PermGroup:
     """Direct product acting on the disjoint union of the two domains."""
     d = A.degree + B.degree
     gens = [g + tuple(range(A.degree, d)) for g in A.generators]
     gens += [tuple(range(A.degree)) + tuple(x + A.degree for x in g) for g in B.generators]
-    return PermGroup(d, gens, name=name or f"{A.name}x{B.name}")
+    return PermGroup(d, gens, name=name or f"{A.name}x{B.name}", cap=cap)
 
 
-def abelian_group(invariants: list[int]) -> PermGroup:
+def abelian_group(invariants: list[int], cap: int = ORDER_CAP) -> PermGroup:
     """Direct product of cyclic groups of the given orders."""
-    G = cyclic(invariants[0])
+    G = cyclic(invariants[0], cap)
     for n in invariants[1:]:
-        G = direct_product(G, cyclic(n))
+        G = direct_product(G, cyclic(n, cap), cap=cap)
     G.name = "x".join(f"Z{n}" for n in invariants)
     return G
 
@@ -817,8 +818,10 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
 # ---------------------------------------------------------------------------
 
 
-def named_group(name: str) -> PermGroup:
-    """Resolve CLI-style group names: a6, s5, z12, d4, q8, v4, z2xz4, ..."""
+def named_group(name: str, cap: int = ORDER_CAP) -> PermGroup:
+    """Resolve CLI-style group names: a6, s5, z12, d4, q8, v4, z2xz4, ...
+
+    Groups built by closure stop at ``cap`` elements (CapExceeded)."""
     key = name.strip().lower()
     if key in ("1", "triv", "trivial"):
         return trivial_group()
@@ -829,16 +832,16 @@ def named_group(name: str) -> PermGroup:
     if "x" in key:
         parts = key.split("x")
         if all(p.startswith("z") and p[1:].isdigit() for p in parts):
-            return abelian_group([int(p[1:]) for p in parts])
+            return abelian_group([int(p[1:]) for p in parts], cap)
         raise GroupError(f"unknown group name: {name!r}")
     head, num = key[0], key[1:]
     if num.isdigit():
         if head == "a":
-            return alternating(int(num))
+            return alternating(int(num), cap)
         if head == "s":
-            return symmetric(int(num))
+            return symmetric(int(num), cap)
         if head == "z" or head == "c":
-            return cyclic(int(num))
+            return cyclic(int(num), cap)
         if head == "d":
-            return dihedral(int(num))
+            return dihedral(int(num), cap)
     raise GroupError(f"unknown group name: {name!r}")

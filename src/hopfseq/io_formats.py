@@ -145,23 +145,35 @@ def dump_hopf(H: HopfAlgebra) -> str:
 _SECTIONS = ("BASIS", "MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE")
 
 
-def load_hopf(text: str) -> HopfAlgebra:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "HOPF v1":
+def read_hopf_header(lines) -> tuple[int, int, int]:
+    """DIM, CONDUCTOR and the header's line count of a Hopf dump.
+
+    Reads no further than the first section name, so a caller can check
+    the dimension of a dump before its tensors are parsed.
+    """
+    it = iter(lines)
+    if next(it, "").strip() != "HOPF v1":
         raise FormatError("missing 'HOPF v1' header", 1)
-    dim = conductor = None
+    header: dict[str, int] = {}
     idx = 1
-    while idx < len(lines) and lines[idx].strip() not in _SECTIONS:
-        ln = lines[idx].strip()
-        if ln.startswith("DIM "):
-            dim = int(ln[4:])
-        elif ln.startswith("CONDUCTOR "):
-            conductor = int(ln[10:])
+    for ln in it:
+        ln = ln.strip()
+        if ln in _SECTIONS:
+            break
+        key, _, value = ln.partition(" ")
+        if key in ("DIM", "CONDUCTOR") and value.strip().isdigit():
+            header[key] = int(value)
         elif ln:
             raise FormatError(f"unexpected header line {ln!r}", idx + 1)
         idx += 1
-    if dim is None or conductor is None:
+    if len(header) != 2:
         raise FormatError("missing DIM or CONDUCTOR header")
+    return header["DIM"], header["CONDUCTOR"], idx
+
+
+def load_hopf(text: str) -> HopfAlgebra:
+    lines = text.splitlines()
+    dim, conductor, idx = read_hopf_header(lines)
     field = get_field(conductor)
 
     chunks: dict[str, list[tuple[int, str]]] = {}

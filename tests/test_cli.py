@@ -6,6 +6,7 @@ from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, main
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from hopfseq import drinfeld_double, group_algebra, symmetric
 from hopfseq.groups import alternating
+from hopfseq.hopf import HOPF_DIM_CAP
 
 
 def run_cli(*argv):
@@ -132,16 +133,46 @@ def test_bad_input_gives_one_error_line(monkeypatch, argv, env, code):
 def test_cap_order_applies_to_group_files(tmp_path, monkeypatch):
     s8 = tmp_path / "s8.grp"
     s8.write_text("degree 8\n(1 2 3 4 5 6 7 8)\n(1 2)\n")
-    code, text = run_cli("group", str(s8))
-    assert code == EXIT_CAP and "cap 10000" in text
-    code, text = run_cli("group", str(s8), "--cap-order", "50000")
-    assert code == EXIT_OK and text.startswith("order 40320,")
-    monkeypatch.setenv("HOPFSEQ_CAP", "50000")
-    assert run_cli("group", str(s8)) == (code, text)
+    for spec in (str(s8), "s8"):
+        monkeypatch.delenv("HOPFSEQ_CAP", raising=False)
+        code, text = run_cli("group", spec)
+        assert code == EXIT_CAP and "cap 10000" in text
+        code, text = run_cli("group", spec, "--cap-order", "50000")
+        assert code == EXIT_OK and text.startswith("order 40320,")
+        monkeypatch.setenv("HOPFSEQ_CAP", "50000")
+        assert run_cli("group", spec) == (code, text)
     a6 = tmp_path / "a6.grp"
     a6.write_text(dump_group(alternating(6)))
     code, text = run_cli("table", str(a6), "--cap-order", "100")
     assert code == EXIT_CAP and "cap 100" in text
+
+
+# every verb that verifies a Hopf algebra refuses one above HOPF_DIM_CAP
+# before building or parsing it
+OVER_HOPF_CAP = [
+    ("build", "double", "a5"),
+    ("build", "group", "s6"),
+    ("build", "dual", "s6"),
+    ("build", "bicrossed", "s6", "--g-gens", "(1 2 3 4 5);(1 2)",
+     "--gamma-gens", "(1 2 3 4 5 6)"),
+    ("verify", "hopf", "{huge}"),
+]
+
+
+@pytest.mark.parametrize("argv", OVER_HOPF_CAP)
+def test_hopf_dim_cap_refuses_at_once(tmp_path, argv):
+    huge = tmp_path / "huge.hopf"
+    huge.write_text("HOPF v1\nDIM 3600\nCONDUCTOR 1\nBASIS\n")  # no tensors follow
+    code, text = run_cli(*(a.format(huge=huge) for a in argv))
+    assert code == EXIT_CAP
+    lines = text.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dimension ")
+    assert lines[0].endswith(f" exceeds cap {HOPF_DIM_CAP}")
+
+
+def test_hopf_dim_cap_accepts_double_a4():
+    assert HOPF_DIM_CAP >= 144
+    assert run_cli("build", "double", "a4") == (EXIT_OK, "dim 144, conductor 1, axioms PASS\n")
 
 
 def test_group_file_round_trip(tmp_path):

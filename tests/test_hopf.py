@@ -160,6 +160,22 @@ def test_drinfeld_double_s3(double_s3):
     assert antipode_invertible(double_s3)
 
 
+def test_report_counts_instances_checked(double_s3):
+    families = ("unit-left", "unit-right", "associativity", "counit-left",
+                "counit-right", "coassociativity", "comult-unit",
+                "comult-multiplicative", "counit-unit", "counit-multiplicative",
+                "antipode-left", "antipode-right")
+    counts = {
+        6: (6, 6, 216, 6, 6, 6, 1, 36, 1, 36, 6, 6),
+        36: (36, 36, 46656, 36, 36, 36, 1, 1296, 1, 1296, 36, 36),
+    }
+    for H in (group_algebra(symmetric(3)), double_s3):
+        report = verify_hopf_axioms(H)
+        assert report.ok
+        assert report.checked == dict(zip(families, counts[H.dim]))
+        assert list(verify_hopf_axioms(H, include_antipode=False).checked) == list(families[:-2])
+
+
 def test_drinfeld_double_dim_cap():
     with pytest.raises(HopfError):
         drinfeld_double(alternating(5), dim_cap=1000)
