@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import TwoCocycle
-from .groups import PermGroup, iso_label
+from .groups import PermGroup, is_prime, iso_label
 
 
 class LedgerError(ValueError):
@@ -68,13 +68,13 @@ def group_theoretical(G: PermGroup, omega: str, T: PermGroup,
 
 
 def tambara_yamagami(p: int, chi: str = "chi", tau: str = "+") -> CatExpr:
-    if not _is_prime(p):
+    if not is_prime(p):
         raise LedgerError("TY node needs a prime p")
     return CatExpr(kind="ty", p=p, labels=(chi, tau))
 
 
 def cpq_category(p: int, q: int, zetas: tuple = ("z1", "z2"), xi: str = "xi") -> CatExpr:
-    if not (_is_prime(p) and _is_prime(q)):
+    if not (is_prime(p) and is_prime(q)):
         raise LedgerError("C(p, q) needs primes")
     if not (p % 2 == 1 and p < q and (q + 1) % p == 0):
         raise LedgerError("family constraints: p odd, p < q, p divides q+1")
@@ -87,17 +87,6 @@ def deligne(a: CatExpr, b: CatExpr) -> CatExpr:
 
 def center(a: CatExpr) -> CatExpr:
     return CatExpr(kind="center", parts=(a,))
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from .groups import (
     SubgroupClassRow,
     abelianization_order,
     alternating,
+    divisors,
     exact_factorizations,
+    is_prime,
     normalizer,
     subgroup_classes,
 )
@@ -202,7 +204,7 @@ def a6_simplicity_check() -> SimplicityCertificate:
                 reason="dual category would be pointed (dimension 360), "
                        "impossible after stage S1"))
             continue
-        viable = [d for d in _divisors(g) if d > 1 and d not in _SMALL_INDEXES_ABSENT]
+        viable = [d for d in divisors(g) if d > 1 and d not in _SMALL_INDEXES_ABSENT]
         if not viable:
             cert.trace.append(TraceEntry(
                 case=f"S2:{row.iso_label}", values=values,
@@ -276,10 +278,6 @@ def a6_simplicity_check() -> SimplicityCertificate:
     return cert
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 # ---------------------------------------------------------------------------
 # family certificates: TY(Z_p) and C(p, q)
 
@@ -306,17 +304,16 @@ def _ty_certificate(c: CatExpr) -> SimplicityCertificate:
     cert = SimplicityCertificate(target=c.describe(), verdict="INCONCLUSIVE")
     cert.axioms_used = ("prime-fpdim-pointed",
                         "pointed-factorization-group-theoretical")
-    if not catexpr._is_prime(p) or total != 2 * p:
+    if not is_prime(p) or total != 2 * p:
         return cert
     if catexpr.is_integral(c):
         cert.trace.append(TraceEntry(
             case="family-fact", values={"p": p},
             reason="type data is integral; the TY contradiction needs sqrt(p)"))
         return cert
-    splits = [(d, total // d) for d in range(2, total)
-              if total % d == 0 and d <= total // d]
+    splits = [(d, total // d) for d in divisors(total) if 1 < d <= total // d]
     for d1, d2 in splits:
-        if not (catexpr._is_prime(d1) and catexpr._is_prime(d2)):
+        if not (is_prime(d1) and is_prime(d2)):
             return cert
         cert.trace.append(TraceEntry(
             case=f"split-{d1}x{d2}",
@@ -343,11 +340,11 @@ def _cpq_certificate(c: CatExpr) -> SimplicityCertificate:
             case="constraints", values={"p": p, "q": q},
             reason="p divides q-1, outside the family constraints"))
         return cert
-    splits = [(d, total // d) for d in _divisors(total) if 1 < d < total]
+    splits = [(d, total // d) for d in divisors(total) if 1 < d < total]
     for d1, d2 in splits:
         reason_parts = []
         for dpart in (d1, d2):
-            if catexpr._is_prime(dpart):
+            if is_prime(dpart):
                 reason_parts.append(f"{dpart} prime so pointed")
             elif dpart in (q * q,):
                 reason_parts.append(f"{dpart} = q^2 so pointed")

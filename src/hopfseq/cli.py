@@ -37,6 +37,7 @@ from .groups import (
     exact_factorizations,
     iso_label,
     named_group,
+    prime_factors,
     subgroup_classes,
 )
 from .hopf import (
@@ -123,6 +124,13 @@ def _check_hopf_dim(dim: int) -> None:
         raise CliError(f"dimension {dim} exceeds cap {HOPF_DIM_CAP}", EXIT_CAP)
 
 
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
+
+
 def _env_cap() -> int:
     text = os.environ.get("HOPFSEQ_CAP", str(ORDER_CAP))
     try:
@@ -155,18 +163,7 @@ def _emit_table(rows, fmt: str, out) -> None:
 def _table_sort_key(row):
     # group rows by the largest prime dividing |T|, then by order; the
     # trivial class leads
-    n = row.order
-    largest = 1
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            largest = d
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        largest = m
+    largest = max(prime_factors(row.order), default=1)
     return (largest, row.order, row.iso_label, -row.normalizer_index)
 
 
@@ -224,10 +221,11 @@ def _build_algebra(args):
 def cmd_build(args, out) -> int:
     H = _build_algebra(args)
     report = verify_hopf_axioms(H)
+    if args.output:  # before any line, so that a failed write prints one error
+        _write_output(args.output, dump_hopf(H))
     print(f"dim {H.dim}, conductor {H.field.conductor}, "
           f"axioms {'PASS' if report.ok else 'FAIL'}", file=out)
     if args.output:
-        Path(args.output).write_text(dump_hopf(H))
         print(f"wrote {args.output}", file=out)
     return EXIT_OK if report.ok else EXIT_VERIFY
 
@@ -336,7 +334,7 @@ def cmd_ledger(args, out) -> int:
 def cmd_group(args, out) -> int:
     G = _resolve_group(args.target, args.cap_order)
     if args.output:
-        Path(args.output).write_text(dump_group(G))
+        _write_output(args.output, dump_group(G))
         print(f"wrote {args.output}", file=out)
     print(f"order {G.order}, degree {G.degree}, label {iso_label(G)}", file=out)
     return EXIT_OK

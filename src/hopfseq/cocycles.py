@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 
-from .groups import PermGroup, small_generating_set
+from .groups import PermGroup, pow_perm, small_generating_set
 from .perm import Perm, compose, inverse, perm_order
 
 
@@ -90,24 +91,11 @@ def nondegenerate_v4_cocycle(T: PermGroup) -> TwoCocycle:
     return bilinear_cocycle(T, lambda x, y: coords[x][1] * coords[y][0], 2)
 
 
-def pow_perm(p: Perm, k: int) -> Perm:
-    from .groups import pow_perm as _pp
-
-    return _pp(p, k)
-
-
 def exponent_of(T: PermGroup) -> int:
     exp = 1
     for x in T.elements:
-        o = perm_order(x)
-        exp = exp * o // _gcd(exp, o)
+        exp = lcm(exp, perm_order(x))
     return exp
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def is_symmetric_cocycle(psi: TwoCocycle) -> bool:

@@ -175,6 +175,8 @@ class CycScalar:
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
+        if self is self.field.one:  # rows scaled by it keep their own scalars
+            return self
         d = self.field.degree
         if d == 1:
             return CycScalar(self.field, (1 / self.coords[0],))

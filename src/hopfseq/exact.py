@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .cyclotomic import CycField
 from .groups import (
     PermGroup,
+    composition_factors,
     from_elements,
     is_simple,
     iso_label,
@@ -29,20 +30,19 @@ from .hopf import (
     BicrossedOrigin,
     HopfAlgebra,
     HopfError,
-    Vec,
     bicrossed_product,
     dual_group_algebra,
     dual_hopf,
     group_algebra,
 )
 from .linalg import (
-    CoordSpan,
     Echelon,
+    Vec,
+    add_term,
     echelon_span,
     nullspace_of_map,
     rank_of_columns,
     subspace_equal,
-    vec_sub_scaled,
 )
 from .matched import MatchedPair, verify_compatibility
 from .perm import Perm, compose
@@ -77,12 +77,7 @@ class HopfMorphism:
         out: Vec = {}
         for i, a in v.items():
             for k, c in self.cols[i].items():
-                cur = out.get(k)
-                s = a * c if cur is None else cur + a * c
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
+                add_term(out, k, a * c)
         return out
 
     def rank(self) -> int:
@@ -114,14 +109,7 @@ class HopfMorphism:
             for j, k, c in src.comult[i]:
                 for a, ca in self.cols[j].items():
                     for b, cb in self.cols[k].items():
-                        key = (a, b)
-                        val = c * ca * cb
-                        cur = rhs.get(key)
-                        s = val if cur is None else cur + val
-                        if s.is_zero():
-                            rhs.pop(key, None)
-                        else:
-                            rhs[key] = s
+                        add_term(rhs, (a, b), c * ca * cb)
             if lhs != rhs:
                 bad.append(("comultiplicative", i))
         return bad
@@ -172,30 +160,17 @@ def coinvariants(pi: HopfMorphism, side: str = "left") -> list[Vec]:
     Left:  (pi (x) id) Delta(h) = 1'' (x) h;  right symmetric.
     """
     H, Hpp = pi.source, pi.target
-    one_pp = Hpp.unit
+    left = side == "left"
     images = []
     for i in range(H.dim):
         t: dict = {}
         for j, k, c in H.comult[i]:
-            if side == "left":
-                proj, keep = pi.cols[j], k
-                for a, ca in proj.items():
-                    key = (a, keep)
-                    t[key] = t.get(key, H.field.zero) + c * ca
-            else:
-                proj, keep = pi.cols[k], j
-                for a, ca in proj.items():
-                    key = (keep, a)
-                    t[key] = t.get(key, H.field.zero) + c * ca
-        if side == "left":
-            for a, ca in one_pp.items():
-                key = (a, i)
-                t[key] = t.get(key, H.field.zero) - ca
-        else:
-            for a, ca in one_pp.items():
-                key = (i, a)
-                t[key] = t.get(key, H.field.zero) - ca
-        images.append({k: v for k, v in t.items() if not v.is_zero()})
+            proj, keep = (pi.cols[j], k) if left else (pi.cols[k], j)
+            for a, ca in proj.items():
+                add_term(t, (a, keep) if left else (keep, a), c * ca)
+        for a, ca in Hpp.unit.items():
+            add_term(t, (a, i) if left else (i, a), -ca)
+        images.append(t)
     kernel = nullspace_of_map(images, H.field)
     return echelon_span(kernel, H.field).basis()
 
@@ -212,18 +187,12 @@ class HopfSubalgebra:
     def dim(self) -> int:
         return len(self.basis)
 
-    def echelon(self) -> Echelon:
-        ech = Echelon(self.ambient.field)
-        for v in self.basis:
-            ech.add(v)
-        return ech
-
     def verify(self) -> list[tuple]:
         """Closure violations: mult, unit, comult (into K (x) K), antipode."""
         H = self.ambient
         field = H.field
         bad: list[tuple] = []
-        ech = self.echelon()
+        ech = echelon_span(self.basis, field)
         if not ech.contains(H.unit):
             bad.append(("unit",))
         for a_i, a in enumerate(self.basis):
@@ -255,7 +224,7 @@ def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
     Returns (True, None) or (False, witness (side, h index, K basis index)).
     """
     H = K.ambient
-    ech = K.echelon()
+    ech = echelon_span(K.basis, H.field)
     for i in range(H.dim):
         hi_terms = H.comult[i]
         for a_i, a in enumerate(K.basis):
@@ -263,19 +232,9 @@ def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
             right: Vec = {}
             for j, k, c in hi_terms:
                 for m, d in H.mul_vec(H.mul_vec(H.basis_vec(j), a), H.antipode[k]).items():
-                    cur = left.get(m)
-                    s = c * d if cur is None else cur + c * d
-                    if s.is_zero():
-                        left.pop(m, None)
-                    else:
-                        left[m] = s
+                    add_term(left, m, c * d)
                 for m, d in H.mul_vec(H.mul_vec(H.antipode[j], a), H.basis_vec(k)).items():
-                    cur = right.get(m)
-                    s = c * d if cur is None else cur + c * d
-                    if s.is_zero():
-                        right.pop(m, None)
-                    else:
-                        right[m] = s
+                    add_term(right, m, c * d)
             if not ech.contains(left):
                 return False, ("left", i, a_i)
             if not ech.contains(right):
@@ -286,7 +245,6 @@ def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
 def hopf_kernel(f: HopfMorphism) -> HopfSubalgebra:
     """Categorical kernel Hker(f) = {h : h_(1) (x) f(h_(2)) (x) h_(3) = h_(1) (x) 1 (x) h_(2)}."""
     H, H2 = f.source, f.target
-    field = H.field
     images = []
     for i in range(H.dim):
         t: dict = {}
@@ -294,13 +252,11 @@ def hopf_kernel(f: HopfMorphism) -> HopfSubalgebra:
             for a, b, d in H.comult[j]:
                 cd = c * d
                 for m, cm in f.cols[b].items():
-                    key = (a, m, k)
-                    t[key] = t.get(key, field.zero) + cd * cm
+                    add_term(t, (a, m, k), cd * cm)
             for m, cm in H2.unit.items():
-                key = (j, m, k)
-                t[key] = t.get(key, field.zero) - c * cm
-        images.append({k: v for k, v in t.items() if not v.is_zero()})
-    kernel = nullspace_of_map(images, field)
+                add_term(t, (j, m, k), -(c * cm))
+        images.append(t)
+    kernel = nullspace_of_map(images, H.field)
     K = span_subalgebra(H, kernel, note="Hker")
     bad = K.verify()
     if bad:
@@ -347,42 +303,32 @@ def hopf_cokernel(f: HopfMorphism) -> tuple[HopfAlgebra, HopfMorphism]:
         red = ideal.reduce(v)
         return {pos[m]: c for m, c in red.items()}
 
+    qproj = [project(H2.basis_vec(i)) for i in range(H2.dim)]
+
+    def fold(t: dict) -> dict:
+        """A tensor of H2 (x) H2 projected to Q (x) Q."""
+        folded: dict = {}
+        for (i, j), c in t.items():
+            for x, cx in qproj[i].items():
+                for y, cy in qproj[j].items():
+                    add_term(folded, (x, y), c * cx * cy)
+        return folded
+
     # Hopf ideal checks
     for b in ideal.basis():
         if not H2.counit_vec(b).is_zero():
             raise ExactnessError("ideal is not contained in the augmentation ideal")
         if ideal.reduce(H2.antipode_vec(b)):
             raise ExactnessError("ideal is not antipode stable")
-        t = H2.comult_vec(b)
-        folded: dict = {}
-        for (i, j), c in t.items():
-            for a, ca in project(H2.basis_vec(i)).items():
-                for bb, cb in project(H2.basis_vec(j)).items():
-                    key = (a, bb)
-                    folded[key] = folded.get(key, field.zero) + c * ca * cb
-        if any(not v.is_zero() for v in folded.values()):
+        if fold(H2.comult_vec(b)):
             raise ExactnessError("ideal is not a coideal")
 
-    qproj = [project(H2.basis_vec(i)) for i in range(H2.dim)]
     lift = [H2.basis_vec(complement[a]) for a in range(qdim)]
     mult = tuple(tuple(tuple(sorted(project(H2.mul_vec(lift[a], lift[b])).items()))
                        for b in range(qdim)) for a in range(qdim))
     unit = project(H2.unit)
-    comult = []
-    for a in range(qdim):
-        t = H2.comult_vec(lift[a])
-        folded: dict = {}
-        for (i, j), c in t.items():
-            for x, cx in qproj[i].items():
-                for y, cy in qproj[j].items():
-                    key = (x, y)
-                    cur = folded.get(key)
-                    s = c * cx * cy if cur is None else cur + c * cx * cy
-                    if s.is_zero():
-                        folded.pop(key, None)
-                    else:
-                        folded[key] = s
-        comult.append(tuple((x, y, c) for (x, y), c in sorted(folded.items())))
+    comult = [tuple((x, y, c) for (x, y), c in sorted(fold(H2.comult_vec(lift[a])).items()))
+              for a in range(qdim)]
     counit = tuple(H2.counit[complement[a]] for a in range(qdim))
     antipode = tuple(project(H2.antipode_vec(lift[a])) for a in range(qdim))
     labels = [f"[{H2.basis_labels[m]}]" for m in complement]
@@ -473,22 +419,14 @@ def make_abelian_sequence(H: HopfAlgebra) -> ExactSequenceH:
 def make_group_quotient_sequence(G: PermGroup, Ngrp: PermGroup,
                                  conductor: int = 1) -> ExactSequenceH:
     """k -> kN -> kG -> k(G/N) -> k for a normal subgroup N of G."""
-    Q, coset_of = quotient_group(G, Ngrp)
+    Q, hom = _quotient_hom(G, Ngrp)
     HN = group_algebra(Ngrp, conductor=conductor)
     HG = group_algebra(G, conductor=conductor)
     HQ = group_algebra(Q, conductor=conductor)
     g_index = {g: i for i, g in enumerate(G.elements)}
-    # coset index -> quotient group element: translate through a transversal
-    reps = {}
-    for g in G.elements:
-        reps.setdefault(coset_of[g], g)
-    q_elem_of_coset = {}
-    k = Q.degree
-    for c, rep in reps.items():
-        q_elem_of_coset[c] = tuple(coset_of[compose(rep, reps[i])] for i in range(k))
     q_index = {q: i for i, q in enumerate(Q.elements)}
     i_cols = [{g_index[n]: HG.field.one} for n in Ngrp.elements]
-    pi_cols = [{q_index[q_elem_of_coset[coset_of[g]]]: HG.field.one} for g in G.elements]
+    pi_cols = [{q_index[hom[g]]: HG.field.one} for g in G.elements]
     return ExactSequenceH(h_prime=HN, i=HopfMorphism(HN, HG, i_cols),
                           h=HG, pi=HopfMorphism(HG, HQ, pi_cols), h_doubleprime=HQ)
 
@@ -550,43 +488,24 @@ def standalone_subalgebra(K: HopfSubalgebra) -> HopfAlgebra:
     field = H.field
     basis = K.basis
     k = len(basis)
-    ech = Echelon(field)
-    combos: dict = {}
-    for a, v in enumerate(basis):
-        red = dict(v)
-        pivot = min(red)
-        ech.rows[pivot] = red  # rows are already reduced echelon
-        combos[pivot] = a
-
-    def coords(v: Vec) -> Vec:
-        out: Vec = {}
-        v = dict(v)
-        for key in sorted(v):
-            if key in v and key in ech.rows:
-                c = v[key]
-                v = vec_sub_scaled(v, ech.rows[key], c)
-                if not c.is_zero():
-                    out[combos[key]] = c
-        if v:
-            raise ExactnessError("vector does not lie in the subalgebra")
-        return out
-
-    tens = CoordSpan(field)
+    span, tens = Echelon(field), Echelon(field)
     for a in range(k):
+        span.add(basis[a], tag=a)
         for b in range(k):
             w = {(i, j): ca * cb for i, ca in basis[a].items() for j, cb in basis[b].items()}
-            tens.add((a, b), w)
+            tens.add(w, tag=(a, b))
 
-    def tensor_coords(t: dict) -> dict:
-        out = tens.coords(t)
+    def coords(v: Vec, ech: Echelon = span) -> Vec:
+        out = ech.coords(v)
         if out is None:
-            raise ExactnessError("comultiplication does not close in K (x) K")
+            raise ExactnessError("vector does not lie in the subalgebra" if ech is span
+                                 else "comultiplication does not close in K (x) K")
         return out
 
     mult = tuple(tuple(tuple(sorted(coords(H.mul_vec(basis[a], basis[b])).items()))
                        for b in range(k)) for a in range(k))
     unit = coords(H.unit)
-    comult = tuple(tuple((a, b, c) for (a, b), c in sorted(tensor_coords(H.comult_vec(basis[i])).items()))
+    comult = tuple(tuple((a, b, c) for (a, b), c in sorted(coords(H.comult_vec(basis[i]), tens).items()))
                    for i in range(k))
     counit = tuple(H.counit_vec(basis[i]) for i in range(k))
     antipode = tuple(coords(H.antipode_vec(basis[i])) for i in range(k))
@@ -1046,18 +965,14 @@ def symbolic_series(ref) -> HopfCompSeries:
     Rests on the factor description of abelian extensions: group-algebra
     factors from G and dual factors from Gamma.
     """
-    from .groups import composition_series_group
-
     if isinstance(ref, GroupAlgebraRef):
         G = ref.group
-        factors = [FactorDesc("group", lab, _label_dim(G, lab))
-                   for lab in composition_series_group(G)]
+        factors = [FactorDesc("group", lab, n) for lab, n in composition_factors(G)]
         return HopfCompSeries(factors=factors, provenance=["symbolic kG"],
                               total_dim=G.order)
     if isinstance(ref, DualGroupAlgebraRef):
         G = ref.group
-        factors = [FactorDesc("dual", lab, _label_dim(G, lab))
-                   for lab in composition_series_group(G)]
+        factors = [FactorDesc("dual", lab, n) for lab, n in composition_factors(G)]
         return HopfCompSeries(factors=factors, provenance=["symbolic k^G"],
                               total_dim=G.order)
     if isinstance(ref, BicrossedRef):
@@ -1069,20 +984,3 @@ def symbolic_series(ref) -> HopfCompSeries:
                               total_dim=mp.G.order * mp.Gamma.order)
     raise UnsupportedAlgebra(f"unknown symbolic ref {ref!r}")
 
-
-def _label_dim(G: PermGroup, label: str) -> int:
-    if label.startswith("Z") and label[1:].isdigit():
-        return int(label[1:])
-    if label == "A5":
-        return 60
-    if label == "A6":
-        return 360
-    if label.startswith("order-"):
-        return int(label.split("-")[1].split()[0])
-    n = 1
-    for part in label.split("x"):
-        if part.startswith("Z") and part[1:].isdigit():
-            n *= int(part[1:])
-    if n == 1:
-        raise UnsupportedAlgebra(f"cannot size composition factor {label!r}")
-    return n

@@ -324,7 +324,8 @@ def pow_perm(p: Perm, k: int) -> Perm:
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
     out = []
     d = 2
     while d * d <= n:
@@ -336,6 +337,21 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def is_prime(n: int) -> bool:
+    return prime_factors(n) == [n]
+
+
+def divisors(n: int) -> list[int]:
+    """The divisors of n in increasing order, built from its prime factors."""
+    out = [1]
+    for p in prime_factors(n):
+        powers = [1]
+        while n % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        out = [d * q for d in out for q in powers]
+    return sorted(out)
 
 
 def _p_part(n: int, p: int) -> int:
@@ -360,7 +376,7 @@ def abelian_invariants(G: PermGroup) -> tuple[int, ...]:
     n = G.order
     e = G.identity()
     primary: dict[int, list[int]] = {}
-    for p in _prime_factors(n):
+    for p in prime_factors(n):
         sums = []  # sums[i-1] = sum_j min(lambda_j, i)
         i = 1
         while True:
@@ -699,14 +715,19 @@ def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, dict[Perm, in
     return PermGroup(k, gens), coset_of
 
 
-def composition_series_group(G: PermGroup) -> list[str]:
-    """Multiset (sorted list) of simple-factor labels of a maximal chain."""
+def composition_factors(G: PermGroup) -> list[tuple[str, int]]:
+    """Sorted (label, order) of the simple factors of a maximal chain."""
     if G.order == 1:
         return []
     normals = [N for N in normal_subgroups(G) if N.order < G.order]
     M = max(normals, key=lambda N: N.order)
     Q, _ = quotient_group(G, M)
-    return sorted(composition_series_group(M) + [iso_label(Q)])
+    return sorted(composition_factors(M) + [(iso_label(Q), Q.order)])
+
+
+def composition_series_group(G: PermGroup) -> list[str]:
+    """Multiset (sorted list) of simple-factor labels of a maximal chain."""
+    return [label for label, _ in composition_factors(G)]
 
 
 def all_composition_factor_multisets(G: PermGroup) -> set[tuple[str, ...]]:

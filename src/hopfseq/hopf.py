@@ -23,8 +23,9 @@ from itertools import chain
 from .cocycles import PairedCocycles, trivial_paired_cocycles
 from .cyclotomic import CycField, CycScalar, get_field
 from .groups import PermGroup
+from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system
 from .matched import MatchedPair, drinfeld_pair
-from .perm import Perm, compose, cycle_string, inverse
+from .perm import compose, cycle_string, inverse
 
 # Verification checks all dim**3 associativity triples; the cap keeps the
 # slowest accepted verify near 30 s.  Measured (2 CPUs, Python 3.11.7):
@@ -34,44 +35,14 @@ HOPF_DIM_CAP = 216
 SOLVE_DIM_CAP = 12           # general antipode solve; closed forms above this
 MAX_REPORT = 1_000
 
-Vec = dict  # dict[int, CycScalar]
-
-
 class HopfError(ValueError):
     pass
-
-
-def _add(acc: dict, k, c: CycScalar) -> None:
-    """acc[k] += c, exactly; an entry that sums to zero is dropped."""
-    if k in acc:
-        s = acc[k] + c
-        if s.is_zero():
-            del acc[k]
-        else:
-            acc[k] = s
-    elif not c.is_zero():
-        acc[k] = c
-
-
-@dataclass(frozen=True)
-class GroupAlgebraOrigin:
-    group: PermGroup
-
-
-@dataclass(frozen=True)
-class DualGroupAlgebraOrigin:
-    group: PermGroup
 
 
 @dataclass(frozen=True)
 class BicrossedOrigin:
     pair: MatchedPair
     cocycles: PairedCocycles
-
-
-@dataclass(frozen=True)
-class DualOrigin:
-    inner: object
 
 
 class HopfAlgebra:
@@ -95,8 +66,6 @@ class HopfAlgebra:
 
     # -- sparse vector helpers ------------------------------------------------
 
-    vec_add_term = staticmethod(_add)
-
     def mul_vec(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}
         mult = self.mult
@@ -107,14 +76,14 @@ class HopfAlgebra:
                 if ab.is_zero():
                     continue
                 for k, c in row[j]:
-                    self.vec_add_term(out, k, ab * c)
+                    add_term(out, k, ab * c)
         return out
 
     def comult_vec(self, u: Vec) -> dict:
         out: dict = {}
         for i, a in u.items():
             for j, k, c in self.comult[i]:
-                _add(out, (j, k), a * c)
+                add_term(out, (j, k), a * c)
         return out
 
     def counit_vec(self, u: Vec) -> CycScalar:
@@ -127,7 +96,7 @@ class HopfAlgebra:
         out: Vec = {}
         for j, a in u.items():
             for i, c in self.antipode[j].items():
-                self.vec_add_term(out, i, a * c)
+                add_term(out, i, a * c)
         return out
 
     def basis_vec(self, i: int) -> Vec:
@@ -185,7 +154,7 @@ def _apply(cols, vec: Vec, one: CycScalar) -> dict:
     out: dict = {}
     for x, c in vec.items():
         for k, v in cols[x].items():
-            _add(out, k, _times(c, v, one))
+            add_term(out, k, _times(c, v, one))
     return out
 
 
@@ -196,7 +165,7 @@ def _products(H: HopfAlgebra) -> tuple[list, list]:
     for prow, row in zip(P, H.mult):
         for v, cell in zip(prow, row):
             for k, c in cell:
-                _add(v, k, c)
+                add_term(v, k, c)
     return P, [list(col) for col in zip(*P)]
 
 
@@ -208,9 +177,9 @@ def _antipode_violations(H: HopfAlgebra, P: list, PT: list, checked: dict):
         right: Vec = {}
         for j, k, c in H.comult[i]:
             for m, d in _apply(PT[k], S[j], one).items():   # S(e_j) e_k
-                _add(left, m, _times(c, d, one))
+                add_term(left, m, _times(c, d, one))
             for m, d in _apply(P[j], S[k], one).items():    # e_j S(e_k)
-                _add(right, m, _times(c, d, one))
+                add_term(right, m, _times(c, d, one))
         target = _apply([H.unit], {0: H.counit[i]}, one)  # eps(e_i) 1
         for fam, got in (("antipode-left", left), ("antipode-right", right)):
             checked[fam] = checked.get(fam, 0) + 1
@@ -252,9 +221,9 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict):
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult[i]:
-            _add(left, k, _times(c, counit[j], one))
-            _add(right, j, _times(c, counit[k], one))
-            _add(d, (j, k), c)
+            add_term(left, k, _times(c, counit[j], one))
+            add_term(right, j, _times(c, counit[k], one))
+            add_term(d, (j, k), c)
         if failed("counit-left", left != {i: one}):
             yield "counit-left", i
         if failed("counit-right", right != {i: one}):
@@ -265,9 +234,9 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict):
         rhs: dict = {}
         for (j, k), c in delta[i].items():
             for (a, b), d in delta[j].items():
-                _add(lhs, (a, b, k), _times(c, d, one))
+                add_term(lhs, (a, b, k), _times(c, d, one))
             for (a, b), d in delta[k].items():
-                _add(rhs, (j, a, b), _times(c, d, one))
+                add_term(rhs, (j, a, b), _times(c, d, one))
         if failed("coassociativity", lhs != rhs):
             yield "coassociativity", i
 
@@ -293,7 +262,7 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict):
                             for m1, d1 in p1.items():
                                 cd = _times(c, d1, one)
                                 for m2, d2 in Pb1[b2].items():
-                                    _add(rhs, (m1, m2), _times(cd, d2, one))
+                                    add_term(rhs, (m1, m2), _times(cd, d2, one))
             if failed("comult-multiplicative", _apply(delta, P[i][j], one) != rhs):
                 yield "comult-multiplicative", (i, j)
 
@@ -339,8 +308,6 @@ def antipode_is_antihomomorphism(H: HopfAlgebra) -> bool:
 
 
 def antipode_invertible(H: HopfAlgebra) -> bool:
-    from .linalg import rank_of_columns
-
     return rank_of_columns(list(H.antipode), H.field) == H.dim
 
 
@@ -384,7 +351,7 @@ def solve_antipode(field: CycField, basis_labels, mult, unit, comult, counit,
         for j, k, c in comult[a]:
             for i in range(dim):
                 for m, d in mult[i][k]:
-                    _add(rows.setdefault((a, m), {}), (i, j), c * d)
+                    add_term(rows.setdefault((a, m), {}), (i, j), c * d)
         for m, u in unit.items():
             rhs[(a, m)] = counit[a] * u
 
@@ -392,8 +359,6 @@ def solve_antipode(field: CycField, basis_labels, mult, unit, comult, counit,
     system = []
     for key in keys:
         system.append((rows.get(key, {}), rhs.get(key, field.zero)))
-
-    from .linalg import solve_sparse_system
 
     sol = solve_sparse_system(system, field)
     if sol is None:
@@ -423,7 +388,7 @@ def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     counit = tuple(one for _ in range(n))
     antipode = tuple({index[inverse(elems[j])]: one} for j in range(n))
     return HopfAlgebra(field, [cycle_string(g) for g in elems], mult, unit,
-                       comult, counit, antipode, origin=GroupAlgebraOrigin(G))
+                       comult, counit, antipode)
 
 
 def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
@@ -446,8 +411,7 @@ def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     counit = tuple(one if elems[i] == G.identity() else field.zero for i in range(n))
     antipode = tuple({index[inverse(elems[j])]: one} for j in range(n))
     return HopfAlgebra(field, [f"e[{cycle_string(g)}]" for g in elems], mult, unit,
-                       comult, tuple(counit), antipode,
-                       origin=DualGroupAlgebraOrigin(G))
+                       comult, tuple(counit), antipode)
 
 
 def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
@@ -561,5 +525,4 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
                 col[i] = c
         antipode.append(col)
     labels = [f"{lab}^" for lab in H.basis_labels]
-    return HopfAlgebra(field, labels, mult, unit, comult, counit, tuple(antipode),
-                       origin=DualOrigin(H.origin))
+    return HopfAlgebra(field, labels, mult, unit, comult, counit, tuple(antipode))

@@ -211,51 +211,54 @@ def load_hopf(text: str) -> HopfAlgebra:
                 f"need {field.degree} coordinates, got {len(coords)}", lno)
         return field.scalar(coords)
 
+    def index(tok: str, section: str, lno: int) -> int:
+        try:
+            i = int(tok)
+        except ValueError:
+            raise FormatError(f"bad {section} index {tok!r}", lno) from None
+        if not 0 <= i < dim:
+            raise FormatError(f"{section} index {i} out of range", lno)
+        return i
+
+    def entry(section: str, shape: tuple, lno: int, ln: str):
+        """The indices and the scalar of an 'i j : k : coords' line, whose
+        ':'-separated index groups have the lengths in shape."""
+        *heads, cpart = ln.split(":")
+        groups = [head.split() for head in heads]
+        if [len(g) for g in groups] != list(shape):
+            raise FormatError(f"malformed {section} entry", lno)
+        idx = [index(tok, section, lno) for g in groups for tok in g]
+        return idx, scalar(cpart.split(), lno)
+
     labels = [""] * dim
     for lno, ln in chunks["BASIS"]:
         i_str, _, lab = ln.partition(" ")
-        i = int(i_str)
-        if not 0 <= i < dim:
-            raise FormatError(f"basis index {i} out of range", lno)
-        labels[i] = lab
+        labels[index(i_str, "basis", lno)] = lab
 
     mult_cells: dict[tuple[int, int], list] = {}
     for lno, ln in chunks["MULT"]:
-        head, _, rest = ln.partition(":")
-        kpart, _, cpart = rest.partition(":")
-        try:
-            i, j = (int(t) for t in head.split())
-            k = int(kpart)
-        except ValueError as exc:
-            raise FormatError("malformed MULT entry", lno) from exc
-        mult_cells.setdefault((i, j), []).append((k, scalar(cpart.split(), lno)))
+        (i, j, k), c = entry("MULT", (2, 1), lno, ln)
+        mult_cells.setdefault((i, j), []).append((k, c))
     mult = tuple(tuple(tuple(mult_cells.get((i, j), ()))
                        for j in range(dim)) for i in range(dim))
 
     comult_terms: dict[int, list] = {}
     for lno, ln in chunks["COMULT"]:
-        head, _, rest = ln.partition(":")
-        jk, _, cpart = rest.partition(":")
-        try:
-            i = int(head)
-            j, k = (int(t) for t in jk.split())
-        except ValueError as exc:
-            raise FormatError("malformed COMULT entry", lno) from exc
-        comult_terms.setdefault(i, []).append((j, k, scalar(cpart.split(), lno)))
+        (i, j, k), c = entry("COMULT", (1, 2), lno, ln)
+        comult_terms.setdefault(i, []).append((j, k, c))
     comult = tuple(tuple(comult_terms.get(i, ())) for i in range(dim))
 
     unit = {}
     for lno, ln in chunks["UNIT"]:
-        head, _, cpart = ln.partition(":")
-        unit[int(head)] = scalar(cpart.split(), lno)
+        (i,), c = entry("UNIT", (1,), lno, ln)
+        unit[i] = c
     counit = [field.zero] * dim
     for lno, ln in chunks["COUNIT"]:
-        head, _, cpart = ln.partition(":")
-        counit[int(head)] = scalar(cpart.split(), lno)
+        (i,), c = entry("COUNIT", (1,), lno, ln)
+        counit[i] = c
     antipode = [dict() for _ in range(dim)]
     for lno, ln in chunks["ANTIPODE"]:
-        head, _, rest = ln.partition(":")
-        ipart, _, cpart = rest.partition(":")
-        antipode[int(head)][int(ipart)] = scalar(cpart.split(), lno)
+        (j, i), c = entry("ANTIPODE", (1, 1), lno, ln)
+        antipode[j][i] = c
     return HopfAlgebra(field, labels, mult, unit, comult, tuple(counit),
                        tuple(antipode))

@@ -1,8 +1,18 @@
 """Sparse exact linear algebra over a cyclotomic field.
 
 Vectors are dicts mapping basis keys (ints, or index tuples for tensor
-spaces) to nonzero scalars.  Everything here is plain Gaussian
-elimination kept in reduced form; no tolerances anywhere.
+spaces) to nonzero scalars.  All elimination runs through one class,
+Echelon, which keeps its rows in reduced echelon form (pivot coefficient
+1, no pivot key in any other row); no tolerances anywhere.
+
+Tags: a vector added with a tag carries its combination over the tags
+along with it.  Echelon.coords then writes a member of the span over the
+tagged vectors, and a tagged vector that reduces to zero is a dependency
+among them, kept in ``dependent``; nullspace_of_map is those dependencies.
+
+The augmented column: solve_sparse_system eliminates each equation as one
+vector over the unknowns plus a right-hand-side key that sorts after every
+unknown, so a row whose pivot is that key is the contradiction 0 = rhs.
 """
 
 from __future__ import annotations
@@ -10,6 +20,18 @@ from __future__ import annotations
 from .cyclotomic import CycField, CycScalar
 
 Vec = dict
+
+
+def add_term(acc: dict, k, c: CycScalar) -> None:
+    """acc[k] += c, exactly; an entry that sums to zero is dropped."""
+    if k in acc:
+        s = acc[k] + c
+        if s.is_zero():
+            del acc[k]
+        else:
+            acc[k] = s
+    elif not c.is_zero():
+        acc[k] = c
 
 
 def vec_scale(v: Vec, c: CycScalar) -> Vec:
@@ -33,13 +55,22 @@ def vec_sub_scaled(v: Vec, w: Vec, c: CycScalar) -> Vec:
 
 
 class Echelon:
-    """A subspace kept as a reduced echelon basis (pivot coefficient 1)."""
+    """A subspace kept as a reduced echelon basis (pivot coefficient 1).
+
+    Each row also keeps the combination of tags that it is; an untagged
+    vector counts as no combination, so tagged and untagged vectors are
+    not mixed in a span whose coords are read.
+    """
 
     def __init__(self, field: CycField):
         self.field = field
-        self.rows: dict = {}  # pivot key -> row Vec
+        self.rows: dict = {}       # pivot key -> row Vec
+        self.combos: dict = {}     # pivot key -> combination over tags
+        self.dependent: list = []  # combinations of tagged vectors that are 0
 
-    def reduce(self, v: Vec) -> Vec:
+    def reduce(self, v: Vec, taken: Vec | None = None) -> Vec:
+        """v less its part in the span; the rows taken off, as a combination
+        over the tags, are added into ``taken`` when it is given."""
         # the basis is fully reduced, so eliminating a pivot never introduces
         # another pivot key: one pass over the original support suffices
         v = dict(v)
@@ -47,23 +78,41 @@ class Echelon:
             if k in v:
                 row = self.rows.get(k)
                 if row is not None:
-                    v = vec_sub_scaled(v, row, v[k])
+                    c = v[k]
+                    v = vec_sub_scaled(v, row, c)
+                    if taken is not None:
+                        for t, a in self.combos[k].items():
+                            add_term(taken, t, c * a)
         return v
 
-    def add(self, v: Vec) -> bool:
+    def add(self, v: Vec, tag=None) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        v = self.reduce(v)
+        taken: Vec = {}
+        v = self.reduce(v, taken)
+        one = self.field.one
+        combo = vec_sub_scaled({} if tag is None else {tag: one}, taken, one)
         if not v:
+            if tag is not None:
+                self.dependent.append(combo)
             return False
         pivot = min(v)
         inv = v[pivot].inverse()
         v = vec_scale(v, inv)
+        combo = vec_scale(combo, inv)
         # keep the basis fully reduced
         for p, row in list(self.rows.items()):
             if pivot in row:
-                self.rows[p] = vec_sub_scaled(row, v, row[pivot])
+                c = row[pivot]
+                self.rows[p] = vec_sub_scaled(row, v, c)
+                self.combos[p] = vec_sub_scaled(self.combos[p], combo, c)
         self.rows[pivot] = v
+        self.combos[pivot] = combo
         return True
+
+    def coords(self, v: Vec):
+        """v as a combination over the tagged vectors, or None if outside."""
+        taken: Vec = {}
+        return None if self.reduce(v, taken) else taken
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
@@ -99,35 +148,21 @@ def subspace_equal(vs1, vs2, field: CycField) -> bool:
 
 
 def nullspace_of_map(images: list[Vec], field: CycField) -> list[Vec]:
-    """Kernel basis of the map e_j -> images[j] (combination tracking)."""
+    """Kernel basis of the map e_j -> images[j]: the dependent tagged inserts."""
     ech = Echelon(field)
-    combos: dict = {}  # pivot key -> combo Vec over domain indices
-    kernel: list[Vec] = []
     for j, img in enumerate(images):
-        v = dict(img)
-        combo = {j: field.one}
-        for k in sorted(v):
-            if k in v:
-                row = ech.rows.get(k)
-                if row is not None:
-                    c = v[k]
-                    v = vec_sub_scaled(v, row, c)
-                    combo = vec_sub_scaled(combo, combos[k], c)
-        if not v:
-            kernel.append(combo)
-        else:
-            pivot = min(v)
-            inv = v[pivot].inverse()
-            v = vec_scale(v, inv)
-            combo = vec_scale(combo, inv)
-            for p in list(ech.rows):
-                if pivot in ech.rows[p]:
-                    c = ech.rows[p][pivot]
-                    ech.rows[p] = vec_sub_scaled(ech.rows[p], v, c)
-                    combos[p] = vec_sub_scaled(combos[p], combo, c)
-            ech.rows[pivot] = v
-            combos[pivot] = combo
-    return kernel
+        ech.add(img, tag=j)
+    return ech.dependent
+
+
+class _Rhs:
+    """The key of the augmented column; it sorts after every unknown."""
+
+    def __lt__(self, other) -> bool:
+        return False
+
+    def __gt__(self, other) -> bool:
+        return self is not other
 
 
 def solve_sparse_system(rows, field: CycField):
@@ -136,76 +171,14 @@ def solve_sparse_system(rows, field: CycField):
     Returns an assignment dict (free variables set to zero) or None when
     the system is inconsistent.
     """
-    pivots: dict = {}  # var -> (row Vec, rhs)
+    rhs_key = _Rhs()
+    ech = Echelon(field)
     for row, rhs in rows:
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        for var in sorted(row):
-            if var in row and var in pivots:
-                prow, prhs = pivots[var]
-                c = row[var]
-                row = vec_sub_scaled(row, prow, c)
-                rhs = rhs - c * prhs
-        if not row:
-            if not rhs.is_zero():
-                return None
-            continue
-        var = min(row)
-        inv = row[var].inverse()
-        row = vec_scale(row, inv)
-        rhs = rhs * inv
-        for pvar, (prow, prhs) in list(pivots.items()):
-            if var in prow:
-                c = prow[var]
-                pivots[pvar] = (vec_sub_scaled(prow, row, c), prhs - c * rhs)
-        pivots[var] = (row, rhs)
-    sol: dict = {}
-    for var, (row, rhs) in pivots.items():
-        # rows are fully reduced; remaining off-pivot vars are free (= 0)
-        sol[var] = rhs
-    return sol
-
-
-class CoordSpan:
-    """A span that can express members as combinations of the added vectors."""
-
-    def __init__(self, field: CycField):
-        self.field = field
-        self.rows: dict = {}    # pivot key -> row Vec
-        self.combos: dict = {}  # pivot key -> combo Vec over insertion tags
-
-    def add(self, tag, v: Vec) -> bool:
-        v = dict(v)
-        combo = {tag: self.field.one}
-        for k in sorted(v):
-            if k in v and k in self.rows:
-                c = v[k]
-                v = vec_sub_scaled(v, self.rows[k], c)
-                combo = vec_sub_scaled(combo, self.combos[k], c)
-        if not v:
-            return False
-        pivot = min(v)
-        inv = v[pivot].inverse()
-        v = vec_scale(v, inv)
-        combo = vec_scale(combo, inv)
-        for p in list(self.rows):
-            row = self.rows[p]
-            if pivot in row:
-                c = row[pivot]
-                self.rows[p] = vec_sub_scaled(row, v, c)
-                self.combos[p] = vec_sub_scaled(self.combos[p], combo, c)
-        self.rows[pivot] = v
-        self.combos[pivot] = combo
-        return True
-
-    def coords(self, v: Vec):
-        """Combination expressing v over the added vectors, or None."""
-        v = dict(v)
-        combo: Vec = {}
-        for k in sorted(v):
-            if k in v and k in self.rows:
-                c = v[k]
-                v = vec_sub_scaled(v, self.rows[k], c)
-                combo = vec_sub_scaled(combo, self.combos[k], -c)
-        if v:
+        eq = {k: v for k, v in row.items() if not v.is_zero()}
+        if not rhs.is_zero():
+            eq[rhs_key] = rhs
+        ech.add(eq)
+        if rhs_key in ech.rows:
             return None
-        return {t: c for t, c in combo.items() if not c.is_zero()}
+    # rows are fully reduced; remaining off-pivot unknowns are free (= 0)
+    return {var: row.get(rhs_key, field.zero) for var, row in ech.rows.items()}

@@ -8,6 +8,7 @@ External cycle notation is 1-based, e.g. ``"(1 2 3)(4 5)"``.
 from __future__ import annotations
 
 import re
+from math import lcm
 
 Perm = tuple  # tuple[int, ...], images of 0..n-1
 
@@ -55,14 +56,8 @@ def perm_order(p: Perm) -> int:
             j = p[j]
             length += 1
         if length > 1:
-            order = _lcm(order, length)
+            order = lcm(order, length)
     return order
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 def cycles_of(p: Perm) -> list[tuple[int, ...]]:

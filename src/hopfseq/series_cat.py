@@ -27,12 +27,15 @@ from .certificates import a6_simplicity_check
 from .groups import (
     ExactFactorizationG,
     PermGroup,
+    is_prime,
     is_simple,
     iso_label,
     normal_subgroups,
+    pow_perm,
+    prime_factors,
     quotient_group,
 )
-from .perm import compose, parse_cycles
+from .perm import parse_cycles
 
 
 class SeriesError(ValueError):
@@ -118,31 +121,16 @@ class Strategy:
             two_part *= 2
         if two_part not in (1, G.order) and n > 1:
             gen = G.generators[0]
-            odd = G.subgroup([_power(gen, two_part)])
-            even = G.subgroup([_power(gen, n)])
+            odd = G.subgroup([pow_perm(gen, two_part)])
+            even = G.subgroup([pow_perm(gen, n)])
             return self._factorize(G, odd, even)
         # prime power: step down through the unique maximal subgroup
-        p = _smallest_prime(G.order)
+        p = prime_factors(G.order)[0]
         if p == G.order:
             return None
         gen = G.generators[0]
-        N = G.subgroup([_power(gen, G.order // p)])
+        N = G.subgroup([pow_perm(gen, G.order // p)])
         return self._group_sequence(G, N)
-
-
-def _power(p, k):
-    from .groups import pow_perm
-
-    return pow_perm(p, k)
-
-
-def _smallest_prime(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 class WholeAlternatingChain(Strategy):
@@ -234,7 +222,7 @@ def terminal_certificate(expr: CatExpr) -> str:
         return "no-rule-applies"
     if expr.kind == "vec" and expr.omega == "1":
         n = expr.group.order
-        if n > 1 and _smallest_prime(n) == n:
+        if is_prime(n):
             # fusion subcategories of vect over G match subgroups of G, so a
             # prime order leaves no proper exact sequence
             return "certified-simple"

@@ -1,4 +1,5 @@
 import io
+import time
 
 import pytest
 
@@ -89,6 +90,22 @@ def test_certify_family():
     assert code == EXIT_OK and "split-25x3" in text
 
 
+def test_certify_family_large_primes():
+    # the divisor splits come from the prime factors of fpdim, so primes
+    # near 10^4 and 10^9 take no longer than small ones
+    started = time.perf_counter()
+    code, text = run_cli("certify", "cpq:3,10007")
+    assert code == EXIT_OK and "verdict: SIMPLE" in text
+    assert [ln for ln in text.splitlines() if ln.startswith("-- ")] == [
+        "-- split-3x100140049", "-- split-10007x30021",
+        "-- split-30021x10007", "-- split-100140049x3"]
+    code, text = run_cli("certify", "ty:1000000007")
+    assert code == EXIT_OK and "verdict: SIMPLE" in text
+    assert [ln for ln in text.splitlines() if ln.startswith("-- ")] == [
+        "-- split-2x1000000007"]
+    assert time.perf_counter() - started < 10
+
+
 def test_ledger():
     code, text = run_cli("ledger", "ty:7")
     assert code == EXIT_OK
@@ -116,13 +133,38 @@ BAD_INPUTS = [
     (("table", "a5"), {"HOPFSEQ_CAP": "abc"}, EXIT_PARSE),
     (("verify", "sequence", "quotient:s4:(1 2)"), {}, EXIT_PARSE),
     (("verify", "sequence", "double:a6"), {}, EXIT_CAP),
+    (("factorize", "no-such-file.grp"), {}, EXIT_PARSE),
+    (("build", "bicrossed", "s4", "--g-gens", "(1 9)", "--gamma-gens", "(1 2)"), {}, EXIT_PARSE),
+    (("compseries", "vec:nosuchgroup"), {}, EXIT_PARSE),
+    (("group", "a6", "-o", "/nonexistent/dir/x.grp"), {}, EXIT_PARSE),
+    (("build", "group", "z3", "-o", "/nonexistent/x.hopf"), {}, EXIT_PARSE),
+    # a D(S3) dump whose first line in a section is replaced, see _bad_dump
+    (("verify", "hopf", "{MULT:0 0 : 99 : 1}"), {}, EXIT_PARSE),
+    (("verify", "hopf", "{UNIT:77 : 1}"), {}, EXIT_PARSE),
+    (("verify", "hopf", "{COMULT:0 : 50 0 : 1}"), {}, EXIT_PARSE),
+    (("verify", "hopf", "{ANTIPODE:0 : x : 1}"), {}, EXIT_PARSE),
+    (("verify", "hopf", "{BASIS:zz label}"), {}, EXIT_PARSE),
 ]
 
 
+def _bad_dump(arg: str, tmp_path) -> str:
+    """'{SECTION:line}' names a D(S3) dump with the first line of SECTION
+    replaced by line; any other argument is returned as it is."""
+    if not arg.startswith("{"):
+        return arg
+    section, _, line = arg[1:-1].partition(":")
+    lines = dump_hopf(drinfeld_double(symmetric(3))).splitlines()
+    lines[lines.index(section) + 1] = line
+    path = tmp_path / "bad.hopf"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
 @pytest.mark.parametrize("argv, env, code", BAD_INPUTS)
-def test_bad_input_gives_one_error_line(monkeypatch, argv, env, code):
+def test_bad_input_gives_one_error_line(monkeypatch, tmp_path, argv, env, code):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
+    argv = [_bad_dump(arg, tmp_path) for arg in argv]
     first = run_cli(*argv)
     assert first[0] == code
     lines = first[1].splitlines()
