@@ -13,11 +13,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import TwoCocycle
-from .groups import PermGroup, is_prime, iso_label
+from .groups import CapExceeded, PermGroup, is_prime, iso_label
+
+# is_prime divides by trial up to the square root: about 0.15 s at this cap
+PRIME_CAP = 10 ** 12
 
 
 class LedgerError(ValueError):
     pass
+
+
+def _check_primes(*ns: int) -> bool:
+    """True when every n is prime; a number above PRIME_CAP is refused
+    (CapExceeded) before any trial division."""
+    for n in ns:
+        if n > PRIME_CAP:
+            raise CapExceeded(f"{n} exceeds the prime cap {PRIME_CAP}")
+    return all(is_prime(n) for n in ns)
 
 
 @dataclass(frozen=True)
@@ -68,13 +80,13 @@ def group_theoretical(G: PermGroup, omega: str, T: PermGroup,
 
 
 def tambara_yamagami(p: int, chi: str = "chi", tau: str = "+") -> CatExpr:
-    if not is_prime(p):
+    if not _check_primes(p):
         raise LedgerError("TY node needs a prime p")
     return CatExpr(kind="ty", p=p, labels=(chi, tau))
 
 
 def cpq_category(p: int, q: int, zetas: tuple = ("z1", "z2"), xi: str = "xi") -> CatExpr:
-    if not (is_prime(p) and is_prime(q)):
+    if not _check_primes(p, q):
         raise LedgerError("C(p, q) needs primes")
     if not (p % 2 == 1 and p < q and (q + 1) % p == 0):
         raise LedgerError("family constraints: p odd, p < q, p divides q+1")

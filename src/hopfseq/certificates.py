@@ -23,11 +23,12 @@ from .groups import (
     alternating,
     divisors,
     exact_factorizations,
+    factor_divisors,
     is_prime,
     normalizer,
+    quotient_group,
     subgroup_classes,
 )
-from .perm import compose
 
 
 class Inconclusive(RuntimeError):
@@ -82,13 +83,12 @@ def invertible_group_order(G: PermGroup, T: PermGroup,
         return (N.order // T.order) * t_hat
     if not T.is_abelian():
         raise Inconclusive("psi nontrivial on a nonabelian carrier")
+    _, proj = quotient_group(N, T)
     per_coset: dict = {}
     for g in N.elements:
-        key = min(compose(g, h) for h in T.elements)
         trivial = cocycle_class_trivial(T, conjugate_twisted(psi, g))
-        if key in per_coset and per_coset[key] != trivial:
+        if per_coset.setdefault(proj[g], trivial) != trivial:
             raise Inconclusive("twisted-cocycle class is not constant on a coset")
-        per_coset[key] = trivial
     k_order = sum(1 for v in per_coset.values() if v)
     return k_order * t_hat
 
@@ -311,9 +311,11 @@ def _ty_certificate(c: CatExpr) -> SimplicityCertificate:
             case="family-fact", values={"p": p},
             reason="type data is integral; the TY contradiction needs sqrt(p)"))
         return cert
-    splits = [(d, total // d) for d in divisors(total) if 1 < d <= total // d]
-    for d1, d2 in splits:
-        if not (is_prime(d1) and is_prime(d2)):
+    # 2p has two prime factors, so both parts of a split are prime exactly
+    # when the first has one
+    splits = [(d, total // d, k) for d, k in factor_divisors([2, p]) if 1 < d <= total // d]
+    for d1, d2, k1 in splits:
+        if k1 != 1:
             return cert
         cert.trace.append(TraceEntry(
             case=f"split-{d1}x{d2}",
@@ -340,11 +342,12 @@ def _cpq_certificate(c: CatExpr) -> SimplicityCertificate:
             case="constraints", values={"p": p, "q": q},
             reason="p divides q-1, outside the family constraints"))
         return cert
-    splits = [(d, total // d) for d in divisors(total) if 1 < d < total]
-    for d1, d2 in splits:
+    # p q^2 has three prime factors: a part with k of them leaves 3 - k
+    splits = [(d, total // d, k) for d, k in factor_divisors([p, q, q]) if 1 < d < total]
+    for d1, d2, k1 in splits:
         reason_parts = []
-        for dpart in (d1, d2):
-            if is_prime(dpart):
+        for dpart, k in ((d1, k1), (d2, 3 - k1)):
+            if k == 1:
                 reason_parts.append(f"{dpart} prime so pointed")
             elif dpart in (q * q,):
                 reason_parts.append(f"{dpart} = q^2 so pointed")

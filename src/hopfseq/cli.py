@@ -220,14 +220,16 @@ def _build_algebra(args):
 
 def cmd_build(args, out) -> int:
     H = _build_algebra(args)
-    report = verify_hopf_axioms(H)
+    # bicrossed_product (and so drinfeld_double) has verified every family on
+    # the tensors it returns, and raises otherwise
+    ok = args.kind not in ("group", "dual") or verify_hopf_axioms(H).ok
     if args.output:  # before any line, so that a failed write prints one error
         _write_output(args.output, dump_hopf(H))
     print(f"dim {H.dim}, conductor {H.field.conductor}, "
-          f"axioms {'PASS' if report.ok else 'FAIL'}", file=out)
+          f"axioms {'PASS' if ok else 'FAIL'}", file=out)
     if args.output:
         print(f"wrote {args.output}", file=out)
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_verify(args, out) -> int:

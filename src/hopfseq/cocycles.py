@@ -15,6 +15,10 @@ from .groups import PermGroup, pow_perm, small_generating_set
 from .perm import Perm, compose, inverse, perm_order
 
 
+# largest carrier the exhaustive coboundary search takes on
+SEARCH_CAP = 16
+
+
 class CocycleError(ValueError):
     pass
 
@@ -105,7 +109,7 @@ def is_symmetric_cocycle(psi: TwoCocycle) -> bool:
                for a in psi.carrier.elements for b in psi.carrier.elements)
 
 
-def coboundary_search(psi: TwoCocycle, size_cap: int = 16) -> bool:
+def coboundary_search(psi: TwoCocycle) -> bool:
     """Decide by exhaustive search whether psi is a coboundary in k^*.
 
     Any trivializing mu automatically takes values in the roots of unity of
@@ -114,8 +118,8 @@ def coboundary_search(psi: TwoCocycle, size_cap: int = 16) -> bool:
     mu(x g) = mu(x) + mu(g) - psi(x, g).
     """
     T = psi.carrier
-    if T.order > size_cap:
-        raise CocycleError(f"coboundary search capped at carrier order {size_cap}")
+    if T.order > SEARCH_CAP:
+        raise CocycleError(f"coboundary search capped at carrier order {SEARCH_CAP}")
     M = psi.conductor * exponent_of(T)
     lift = M // psi.conductor
     e = T.identity()
@@ -158,7 +162,7 @@ def coboundary_search(psi: TwoCocycle, size_cap: int = 16) -> bool:
     return False
 
 
-def cocycle_class_trivial(T: PermGroup, psi: TwoCocycle, size_cap: int = 16) -> bool:
+def cocycle_class_trivial(T: PermGroup, psi: TwoCocycle) -> bool:
     """Is the class of psi trivial in H^2(T, k^*)?
 
     Abelian carriers use the alternating-form criterion (symmetric iff
@@ -168,7 +172,7 @@ def cocycle_class_trivial(T: PermGroup, psi: TwoCocycle, size_cap: int = 16) -> 
         raise CocycleError("cocycle carrier mismatch")
     if T.is_abelian():
         return is_symmetric_cocycle(psi)
-    return coboundary_search(psi, size_cap=size_cap)
+    return coboundary_search(psi)
 
 
 def conjugate_twisted(psi: TwoCocycle, g: Perm) -> TwoCocycle:

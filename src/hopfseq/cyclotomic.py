@@ -21,21 +21,6 @@ def _poly_trim(c: list) -> list:
     return c
 
 
-def _poly_divmod_int(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Division of integer polynomials, exact (used with monic divisors)."""
-    num = list(num)
-    q = [0] * (max(len(num) - len(den) + 1, 0))
-    for i in range(len(num) - len(den), -1, -1):
-        coeff = num[i + len(den) - 1]
-        if coeff == 0:
-            continue
-        assert den[-1] == 1
-        q[i] = coeff
-        for j, d in enumerate(den):
-            num[i + j] -= coeff * d
-    return q, _poly_trim(num)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients (low degree first) of the n-th cyclotomic polynomial."""
@@ -45,7 +30,7 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly[0] = -1  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _poly_divmod_int(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
             assert not rem
     return tuple(poly)
 
@@ -185,7 +170,7 @@ class CycScalar:
         b = _poly_trim(list(self.coords))
         s_a, s_b = [], [Fraction(1)]
         while b:
-            q, r = _poly_divmod_frac(a, b)
+            q, r = _poly_divmod(a, b)
             a, b = b, r
             s_a, s_b = s_b, _poly_sub(s_a, _poly_mul(q, s_b))
         # a is now a scalar gcd (cyclotomic polys are irreducible over Q)
@@ -220,15 +205,17 @@ class CycScalar:
         return " + ".join(terms) or "0"
 
 
-def _poly_divmod_frac(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Exact polynomial division with remainder, low degree first: Fraction
+    coefficients, or integer ones over a monic divisor, which stay integers."""
     num = list(num)
-    q = [_ZERO] * (max(len(num) - len(den) + 1, 0))
+    q = [0] * (max(len(num) - len(den) + 1, 0))
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
         c = num[i + len(den) - 1]
         if c == 0:
             continue
-        factor = c / lead
+        factor = c if lead == 1 else c / lead
         q[i] = factor
         for j, dcoef in enumerate(den):
             num[i + j] -= factor * dcoef

@@ -45,7 +45,7 @@ from .linalg import (
     subspace_equal,
 )
 from .matched import MatchedPair, verify_compatibility
-from .perm import Perm, compose
+from .perm import Perm
 
 
 class ExactnessError(ValueError):
@@ -398,20 +398,13 @@ def make_abelian_sequence(H: HopfAlgebra) -> ExactSequenceH:
     """The canonical k -> k^Gamma -> H -> kG -> k around a bicrossed product."""
     if not isinstance(H.origin, BicrossedOrigin):
         raise HopfError("algebra is not a tagged bicrossed product")
-    mp = H.origin.pair
-    N = H.field.conductor
-    Hp = dual_group_algebra(mp.Gamma, conductor=N)
-    Hpp = group_algebra(mp.G, conductor=N)
-    gsize = mp.G.order
-    gamma_index = {g: a for a, g in enumerate(mp.Gamma.elements)}
-    g_index = {x: a for a, x in enumerate(mp.G.elements)}
-    eG, eGamma = mp.G.identity(), mp.Gamma.identity()
-    i_cols = [{gamma_index[g] * gsize + g_index[eG]: H.field.one}
-              for g in mp.Gamma.elements]
-    pi_cols = []
-    for g in mp.Gamma.elements:
-        for x in mp.G.elements:
-            pi_cols.append({g_index[x]: H.field.one} if g == eGamma else {})
+    origin, one = H.origin, H.field.one
+    G, Gamma = origin.pair.G, origin.pair.Gamma
+    Hp = dual_group_algebra(Gamma, conductor=H.field.conductor)
+    Hpp = group_algebra(G, conductor=H.field.conductor)
+    g_index, eG, eGamma = G.element_index(), G.identity(), Gamma.identity()
+    i_cols = [{origin.position(g, eG): one} for g in Gamma.elements]
+    pi_cols = [{g_index[x]: one} if g == eGamma else {} for g, x in origin.basis()]
     return ExactSequenceH(h_prime=Hp, i=HopfMorphism(Hp, H, i_cols),
                           h=H, pi=HopfMorphism(H, Hpp, pi_cols), h_doubleprime=Hpp)
 
@@ -419,14 +412,13 @@ def make_abelian_sequence(H: HopfAlgebra) -> ExactSequenceH:
 def make_group_quotient_sequence(G: PermGroup, Ngrp: PermGroup,
                                  conductor: int = 1) -> ExactSequenceH:
     """k -> kN -> kG -> k(G/N) -> k for a normal subgroup N of G."""
-    Q, hom = _quotient_hom(G, Ngrp)
+    Q, proj = quotient_group(G, Ngrp)
     HN = group_algebra(Ngrp, conductor=conductor)
     HG = group_algebra(G, conductor=conductor)
     HQ = group_algebra(Q, conductor=conductor)
-    g_index = {g: i for i, g in enumerate(G.elements)}
-    q_index = {q: i for i, q in enumerate(Q.elements)}
+    g_index, q_index = G.element_index(), Q.element_index()
     i_cols = [{g_index[n]: HG.field.one} for n in Ngrp.elements]
-    pi_cols = [{q_index[hom[g]]: HG.field.one} for g in G.elements]
+    pi_cols = [{q_index[proj[g]]: HG.field.one} for g in G.elements]
     return ExactSequenceH(h_prime=HN, i=HopfMorphism(HN, HG, i_cols),
                           h=HG, pi=HopfMorphism(HG, HQ, pi_cols), h_doubleprime=HQ)
 
@@ -527,38 +519,23 @@ class NormalCandidate:
         return tuple(tuple(sorted(v.items())) for v in self.sub.basis)
 
 
-def _group_index_map(H: HopfAlgebra, perms: list) -> dict:
-    return {p: i for i, p in enumerate(perms)}
-
-
-def _quotient_hom(G: PermGroup, N: PermGroup):
-    """(Q, elem map g -> element of Q) for the coset action quotient."""
-    Q, coset_of = quotient_group(G, N)
-    reps: dict[int, Perm] = {}
-    for g in G.elements:
-        reps.setdefault(coset_of[g], g)
-    k = Q.degree
-    hom = {}
-    for g in G.elements:
-        hom[g] = tuple(coset_of[compose(g, reps[i])] for i in range(k))
-    return Q, hom
+# In the group and dual forms, basis vector i of H stands for perms[i], an
+# element of Gq.
 
 
 def _candidates_group_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[NormalCandidate]:
     out = []
     one = H.field.one
-    idx = _group_index_map(H, perms)
     for N in normal_subgroups(Gq):
         if N.order in (1, Gq.order):
             continue
-        vectors = [{idx[n]: one} for n in N.elements]
+        vectors = [{i: one} for i, p in enumerate(perms) if p in N]
 
         def factory(Ngrp=N):
-            Q, hom = _quotient_hom(Gq, Ngrp)
+            Q, proj = quotient_group(Gq, Ngrp)
             template = group_algebra(Q, conductor=H.field.conductor)
-            q_index = {q: i for i, q in enumerate(Q.elements)}
-            cols = [{q_index[hom[perms[i]]]: one} for i in range(H.dim)]
-            return template, cols
+            q_index = Q.element_index()
+            return template, [{q_index[proj[p]]: one} for p in perms]
 
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"k[{iso_label(N)}]"),
@@ -570,25 +547,20 @@ def _candidates_group_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[N
 def _candidates_dual_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[NormalCandidate]:
     out = []
     one = H.field.one
-    idx = _group_index_map(H, perms)
     for N in normal_subgroups(Gq):
         if N.order in (1, Gq.order):
             continue
-        nset = N.element_set()
         # coset indicator functions span k^(Gamma/N)
+        _, proj = quotient_group(Gq, N)
         cosets: dict[Perm, list[int]] = {}
-        for p in perms:
-            key = min(compose(p, n) for n in nset)
-            cosets.setdefault(key, []).append(idx[p])
+        for i, p in enumerate(perms):
+            cosets.setdefault(proj[p], []).append(i)
         vectors = [{i: one for i in block} for block in cosets.values()]
 
         def factory(Ngrp=N):
             template = dual_group_algebra(Ngrp, conductor=H.field.conductor)
-            n_index = {n: i for i, n in enumerate(Ngrp.elements)}
-            cols = []
-            for p in perms:
-                cols.append({n_index[p]: one} if p in n_index else {})
-            return template, cols
+            n_index = Ngrp.element_index()
+            return template, [{n_index[p]: one} if p in n_index else {} for p in perms]
 
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"k^[{iso_label(Gq)}/{iso_label(N)}]"),
@@ -623,13 +595,13 @@ def _induced_pair(mp: MatchedPair, Mgrp: PermGroup) -> tuple[MatchedPair, dict] 
         for m in Mgrp.elements:
             if mp.rtri(s, m) not in mset:
                 return None
-    Q, hom = _quotient_hom(mp.G, Mgrp)
+    Q, proj = quotient_group(mp.G, Mgrp)
     left: dict = {}
     for s in mp.Gamma.elements:
         seen: dict = {}
         for x in mp.G.elements:
-            key = (s, hom[x])
-            val = hom[mp.rtri(s, x)]
+            key = (s, proj[x])
+            val = proj[mp.rtri(s, x)]
             if seen.setdefault(key, val) != val:
                 return None
         left.update(seen)
@@ -637,7 +609,7 @@ def _induced_pair(mp: MatchedPair, Mgrp: PermGroup) -> tuple[MatchedPair, dict] 
     ind = MatchedPair(G=Q, Gamma=mp.Gamma, left_action=left, right_action=right)
     if not verify_compatibility(ind).valid:
         return None
-    return ind, hom
+    return ind, proj
 
 
 def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
@@ -650,47 +622,30 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
     mp = origin.pair
     G, Gamma = mp.G, mp.Gamma
     one = H.field.one
-    gsize = G.order
-    gamma_pos = {g: i for i, g in enumerate(Gamma.elements)}
-    g_pos = {x: i for i, x in enumerate(G.elements)}
     eG = G.identity()
     out: list[NormalCandidate] = []
 
     for N in normal_subgroups(Gamma):
         if N.order == Gamma.order:
             continue
-        nset = N.element_set()
+        _, proj = quotient_group(Gamma, N)
         cosets: dict[Perm, list[Perm]] = {}
         for g in Gamma.elements:
-            key = min(compose(g, n) for n in nset)
-            cosets.setdefault(key, []).append(g)
-        vectors = [{gamma_pos[g] * gsize + g_pos[eG]: one for g in block}
-                   for block in cosets.values()]
+            cosets.setdefault(proj[g], []).append(g)
+        vectors = [{origin.position(g, eG): one for g in block} for block in cosets.values()]
         if len(vectors) == 1:
             continue
 
-        def factory(Ngrp=N, nset=nset):
+        def factory(Ngrp=N):
             if Ngrp.order == 1:
-                template = group_algebra(G, conductor=H.field.conductor)
-                eGamma = Gamma.identity()
-                cols = []
-                for g in Gamma.elements:
-                    for x in G.elements:
-                        cols.append({g_pos[x]: one} if g == eGamma else {})
-                return template, cols
+                seq = make_abelian_sequence(H)
+                return seq.h_doubleprime, list(seq.pi.cols)
             sub = _restricted_pair(mp, Ngrp)
             if sub is None:
                 return None
             template = bicrossed_product(sub, conductor=H.field.conductor)
-            n_pos = {g: i for i, g in enumerate(Ngrp.elements)}
-            cols = []
-            for g in Gamma.elements:
-                for x in G.elements:
-                    if g in nset:
-                        cols.append({n_pos[g] * gsize + g_pos[x]: one})
-                    else:
-                        cols.append({})
-            return template, cols
+            at = template.origin.position
+            return template, [{at(g, x): one} if g in Ngrp else {} for g, x in origin.basis()]
 
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"i(k^[{iso_label(Gamma)}/{iso_label(N)}])"),
@@ -700,9 +655,7 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
     for M in normal_subgroups(G):
         if M.order == 1:
             continue
-        vectors = []
-        for x in M.elements:
-            vectors.append({gamma_pos[g] * gsize + g_pos[x]: one for g in Gamma.elements})
+        vectors = [{origin.position(g, x): one for g in Gamma.elements} for x in M.elements]
         if len(vectors) == H.dim:
             continue
 
@@ -710,15 +663,10 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
             ind = _induced_pair(mp, Mgrp)
             if ind is None:
                 return None
-            pair, hom = ind
+            pair, proj = ind
             template = bicrossed_product(pair, conductor=H.field.conductor)
-            q_pos = {q: i for i, q in enumerate(pair.G.elements)}
-            qsize = pair.G.order
-            cols = []
-            for g in Gamma.elements:
-                for x in G.elements:
-                    cols.append({gamma_pos[g] * qsize + q_pos[hom[x]]: one})
-            return template, cols
+            at = template.origin.position
+            return template, [{at(g, proj[x]): one} for g, x in origin.basis()]
 
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"1#k[{iso_label(M)}]"),
@@ -727,7 +675,7 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
     return out
 
 
-def normal_subalgebra_candidates(H: HopfAlgebra, extra=()) -> list[NormalCandidate]:
+def normal_subalgebra_candidates(H: HopfAlgebra) -> list[NormalCandidate]:
     """Verified proper normal Hopf subalgebras from the catalog.
 
     Every candidate passes the subalgebra-closure check and the adjoint
@@ -741,9 +689,6 @@ def normal_subalgebra_candidates(H: HopfAlgebra, extra=()) -> list[NormalCandida
     if Dq_data is not None:
         raw += _candidates_dual_form(H, *Dq_data)
     raw += _candidates_bicrossed(H)
-    for vecs in extra:
-        raw.append(NormalCandidate(sub=span_subalgebra(H, vecs, note="user"),
-                                   note="user supplied"))
     out: list[NormalCandidate] = []
     seen = set()
     for cand in raw:
@@ -904,9 +849,6 @@ def composition_series_hopf(H, chooser=None) -> HopfCompSeries:
     raise last_err if last_err is not None else UnsupportedAlgebra("no workable chain")
 
 
-_EXPLORE_MEMO: dict = {}
-
-
 def _structure_key(H: HopfAlgebra) -> tuple:
     return (H.field.conductor, H.dim, H.mult, tuple(sorted(H.unit.items())),
             H.comult, H.counit,
@@ -914,30 +856,38 @@ def _structure_key(H: HopfAlgebra) -> tuple:
 
 
 def all_hopf_series_multisets(H: HopfAlgebra) -> set[tuple]:
-    """Factor multisets over every catalog chain (Jordan-Hoelder check)."""
-    if H.dim == 1:
-        return {()}
-    key = _structure_key(H)
-    hit = _EXPLORE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    cands = normal_subalgebra_candidates(H)
-    out: set[tuple] = set()
-    if not cands:
-        fac = _terminal_factor(H)
-        out.add(((fac.kind, fac.label, fac.dim),))
-    for cand in cands:
-        try:
-            sub_alg, Q, _proj = _split_along(H, cand)
-            for ls in all_hopf_series_multisets(sub_alg):
-                for rs in all_hopf_series_multisets(Q):
-                    out.add(tuple(sorted(ls + rs)))
-        except UnsupportedAlgebra:
-            continue
-    if not out:
-        raise UnsupportedAlgebra(f"no catalog chain for dim-{H.dim} algebra")
-    _EXPLORE_MEMO[key] = out
-    return out
+    """Factor multisets over every catalog chain (Jordan-Hoelder check).
+
+    Subalgebras and quotients met more than once along the chains are
+    explored once per call, through a memo keyed by their structure.
+    """
+    memo: dict = {}
+
+    def explore(H: HopfAlgebra) -> set[tuple]:
+        if H.dim == 1:
+            return {()}
+        key = _structure_key(H)
+        if key in memo:
+            return memo[key]
+        cands = normal_subalgebra_candidates(H)
+        out: set[tuple] = set()
+        if not cands:
+            fac = _terminal_factor(H)
+            out.add(((fac.kind, fac.label, fac.dim),))
+        for cand in cands:
+            try:
+                sub_alg, Q, _proj = _split_along(H, cand)
+                for ls in explore(sub_alg):
+                    for rs in explore(Q):
+                        out.add(tuple(sorted(ls + rs)))
+            except UnsupportedAlgebra:
+                continue
+        if not out:
+            raise UnsupportedAlgebra(f"no catalog chain for dim-{H.dim} algebra")
+        memo[key] = out
+        return out
+
+    return explore(H)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def small_generating_set(elems: tuple[Perm, ...], degree: int) -> list[Perm]:
 class PermGroup:
     """A finite permutation group with cached, lexicographically sorted elements."""
 
-    __slots__ = ("degree", "generators", "elements", "order", "name", "_hash", "_eset")
+    __slots__ = ("degree", "generators", "elements", "order", "name", "_hash", "_eset",
+                 "_index")
 
     def __init__(self, degree: int, generators: list[Perm], name: str = "",
                  cap: int = ORDER_CAP, _elements: tuple[Perm, ...] | None = None):
@@ -83,11 +84,18 @@ class PermGroup:
         self.name = name
         self._hash = hash((degree, self.elements))
         self._eset: frozenset | None = None
+        self._index: dict | None = None
 
     def element_set(self) -> frozenset:
         if self._eset is None:
             self._eset = frozenset(self.elements)
         return self._eset
+
+    def element_index(self) -> dict:
+        """The map from each element to its position in ``elements``."""
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.elements)}
+        return self._index
 
     def __contains__(self, p: Perm) -> bool:
         return p in self.element_set()
@@ -343,15 +351,25 @@ def is_prime(n: int) -> bool:
     return prime_factors(n) == [n]
 
 
+def factor_divisors(primes) -> list[tuple[int, int]]:
+    """(d, k) for each divisor d of the product of ``primes`` (a list of
+    primes, repeated as often as they divide), in increasing order of d; k is
+    the number of prime factors of d counted with multiplicity, so d is prime
+    exactly when k is 1."""
+    out = {1: 0}
+    for p in primes:
+        out.update({d * p: k + 1 for d, k in list(out.items())})
+    return sorted(out.items())
+
+
 def divisors(n: int) -> list[int]:
     """The divisors of n in increasing order, built from its prime factors."""
-    out = [1]
+    primes = []
     for p in prime_factors(n):
-        powers = [1]
-        while n % (powers[-1] * p) == 0:
-            powers.append(powers[-1] * p)
-        out = [d * q for d in out for q in powers]
-    return sorted(out)
+        while n % p == 0:
+            primes.append(p)
+            n //= p
+    return [d for d, _ in factor_divisors(primes)]
 
 
 def _p_part(n: int, p: int) -> int:
@@ -480,7 +498,7 @@ class _Cayley:
 
     def __init__(self, G: PermGroup):
         elems = G.elements
-        index = {x: i for i, x in enumerate(elems)}
+        index = G.element_index()
         gens = sorted({index[s] for s in G.generators} - {0})
         gen_mul = {s: [index[compose(elems[s], x)] for x in elems] for s in gens}
         gen_conj = {s: [index[conjugate(elems[s], x)] for x in elems] for s in gens}
@@ -691,28 +709,38 @@ def is_normal(G: PermGroup, N: PermGroup) -> bool:
     return all(conjugate(g, x) in nset for g in G.generators for x in N.elements)
 
 
-def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, dict[Perm, int]]:
-    """G/N as a permutation group on the left cosets of N.
+def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, dict[Perm, Perm]]:
+    """G/N as a permutation group on the left cosets of N, with the projection.
 
-    Returns the quotient together with the map element -> coset index.
+    Cosets are numbered in the order of their least members, Q is generated
+    by the images of G's generators, and ``proj[g]`` is the image of g in Q:
+    coset i goes to the coset of g r_i, r_i the least member of coset i.
     """
     if not is_normal(G, N):
         raise GroupError("quotient by a non-normal subgroup")
-    nset = N.element_set()
-    cosets: list[frozenset] = []
     coset_of: dict[Perm, int] = {}
+    reps: list[Perm] = []
     for g in G.elements:
-        if g in coset_of:
-            continue
-        cos = frozenset(compose(g, x) for x in nset)
-        idx = len(cosets)
-        cosets.append(cos)
-        for y in cos:
-            coset_of[y] = idx
-    k = len(cosets)
-    reps = [min(c) for c in cosets]
-    gens = [tuple(coset_of[compose(g, reps[i])] for i in range(k)) for g in G.generators]
-    return PermGroup(k, gens), coset_of
+        if g not in coset_of:
+            for x in N.elements:
+                coset_of[compose(g, x)] = len(reps)
+            reps.append(g)
+    gens = [tuple(coset_of[compose(s, r)] for r in reps) for s in G.generators]
+    # the image of g depends on its coset only; walk the cosets from N along
+    # the generators, composing images
+    images = {0: identity(len(reps))}
+    frontier = [0]
+    while frontier:
+        new = []
+        for c in frontier:
+            for s, img in zip(G.generators, gens):
+                d = coset_of[compose(reps[c], s)]
+                if d not in images:
+                    images[d] = compose(images[c], img)
+                    new.append(d)
+        frontier = new
+    proj = {g: images[coset_of[g]] for g in G.elements}
+    return PermGroup(len(reps), gens), proj
 
 
 def composition_factors(G: PermGroup) -> list[tuple[str, int]]:

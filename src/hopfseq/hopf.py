@@ -41,8 +41,20 @@ class HopfError(ValueError):
 
 @dataclass(frozen=True)
 class BicrossedOrigin:
+    """A bicrossed product's matched pair and cocycles, and its basis order:
+    e_g # x for g in Gamma, then x in G, both in element order."""
+
     pair: MatchedPair
     cocycles: PairedCocycles
+
+    def basis(self) -> list[tuple]:
+        """The pairs (g, x) of the basis vectors e_g # x, in basis order."""
+        return [(g, x) for g in self.pair.Gamma.elements for x in self.pair.G.elements]
+
+    def position(self, g, x) -> int:
+        """The index of the basis vector e_g # x."""
+        G = self.pair.G
+        return self.pair.Gamma.element_index()[g] * G.order + G.element_index()[x]
 
 
 class HopfAlgebra:
@@ -316,7 +328,7 @@ def antipode_invertible(H: HopfAlgebra) -> bool:
 
 
 def solve_antipode(field: CycField, basis_labels, mult, unit, comult, counit,
-                   candidate=None, solve_cap: int = SOLVE_DIM_CAP):
+                   candidate=None):
     """Antipode of a verified bialgebra: the solution of m(S (x) id)Delta = u eps.
 
     A caller-supplied candidate matrix is accepted once the verifier's
@@ -339,10 +351,10 @@ def solve_antipode(field: CycField, basis_labels, mult, unit, comult, counit,
     if candidate is not None and passes(candidate):
         return candidate
 
-    if dim > solve_cap:
+    if dim > SOLVE_DIM_CAP:
         raise HopfError(
             f"no verified closed-form antipode and dim {dim} exceeds the "
-            f"general-solve cap {solve_cap}")
+            f"general-solve cap {SOLVE_DIM_CAP}")
 
     # unknowns S[i, j]; equation rows indexed by (a, m)
     rows: dict = {}
@@ -379,7 +391,7 @@ def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     field = get_field(conductor)
     one = field.one
     elems = G.elements
-    index = {g: i for i, g in enumerate(elems)}
+    index = G.element_index()
     n = len(elems)
     mult = tuple(tuple(((index[compose(elems[i], elems[j])], one),)
                        for j in range(n)) for i in range(n))
@@ -396,7 +408,7 @@ def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     field = get_field(conductor)
     one = field.one
     elems = G.elements
-    index = {g: i for i, g in enumerate(elems)}
+    index = G.element_index()
     n = len(elems)
     mult = tuple(tuple(((i, one),) if i == j else ()
                        for j in range(n)) for i in range(n))
@@ -415,8 +427,7 @@ def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
 
 
 def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
-                      conductor: int | None = None,
-                      dim_cap: int = HOPF_DIM_CAP) -> HopfAlgebra:
+                      conductor: int | None = None) -> HopfAlgebra:
     """k^Gamma #(sigma,tau) kG on basis e_g # x.
 
         (e_g # x)(e_h # y) = delta_{g <| x, h} sigma_g(x, y) e_g # xy
@@ -427,75 +438,58 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     """
     G, Gamma = mp.G, mp.Gamma
     dim = G.order * Gamma.order
-    if dim > dim_cap:
-        raise HopfError(f"dimension {dim} exceeds cap {dim_cap}")
+    if dim > HOPF_DIM_CAP:
+        raise HopfError(f"dimension {dim} exceeds cap {HOPF_DIM_CAP}")
     if cocycles is None:
         cocycles = trivial_paired_cocycles(G, Gamma, conductor or 1)
     if not cocycles.normalized(G, Gamma):
         raise HopfError("cocycle pair is not normalized")
-    N = conductor or cocycles.conductor
-    field = get_field(N)
-    one = field.one
-
-    basis = [(g, x) for g in Gamma.elements for x in G.elements]
-    index = {b: i for i, b in enumerate(basis)}
+    field = get_field(conductor or cocycles.conductor)
+    one, zeta = field.one, field.zeta  # zeta(0) is one itself
+    origin = BicrossedOrigin(mp, cocycles)
+    basis, pos = origin.basis(), origin.position
     labels = [f"e[{cycle_string(g)}]#{cycle_string(x)}" for g, x in basis]
 
-    trivial_sigma = all(v % cocycles.conductor == 0 for v in cocycles.sigma.values())
-    trivial_tau = all(v % cocycles.conductor == 0 for v in cocycles.tau.values())
-
-    mult_rows = []
+    mult = []
     for g, x in basis:
         gx = mp.ltri(g, x)
-        row = []
-        for h, y in basis:
-            if gx != h:
-                row.append(())
-            else:
-                coeff = one if trivial_sigma else field.zeta(cocycles.sigma_at(g, x, y))
-                row.append(((index[(g, compose(x, y))], coeff),))
-        mult_rows.append(tuple(row))
-    mult = tuple(mult_rows)
-
+        mult.append(tuple(((pos(g, compose(x, y)), zeta(cocycles.sigma_at(g, x, y))),)
+                          if h == gx else () for h, y in basis))
     eG, eGamma = G.identity(), Gamma.identity()
-    unit = {index[(g, eG)]: one for g in Gamma.elements}
+    unit = {pos(g, eG): one for g in Gamma.elements}
     comult = []
     for g, x in basis:
         terms = []
         for s in Gamma.elements:
             t = compose(inverse(s), g)
-            coeff = one if trivial_tau else field.zeta(cocycles.tau_at(x, s, t))
-            terms.append((index[(s, mp.rtri(t, x))], index[(t, x)], coeff))
+            terms.append((pos(s, mp.rtri(t, x)), pos(t, x), zeta(cocycles.tau_at(x, s, t))))
         comult.append(tuple(terms))
-    comult = tuple(comult)
     counit = tuple(one if g == eGamma else field.zero for g, x in basis)
 
     probe = HopfAlgebra(field, labels, mult, unit, comult, counit, antipode=None,
-                        origin=BicrossedOrigin(mp, cocycles))
+                        origin=origin)
     pre = verify_hopf_axioms(probe, include_antipode=False)
     if not pre.ok:
         raise HopfError(f"bialgebra axioms fail: {pre.violations[0]}")
 
-    candidate = None
-    if trivial_sigma and trivial_tau:
-        cols = []
-        for g, x in basis:
-            gx = mp.ltri(g, x)
-            target = (inverse(gx), inverse(mp.rtri(g, x)))
-            cols.append({index[target]: one})
-        candidate = cols
-    antipode = solve_antipode(field, labels, mult, unit, comult, counit,
+    # the closed form S(e_g # x) = e_(g <| x)^-1 # (g |> x)^-1 holds for
+    # trivial cocycles; solve_antipode falls through to the solve when not
+    candidate = [{pos(inverse(mp.ltri(g, x)), inverse(mp.rtri(g, x))): one}
+                 for g, x in basis]
+    antipode = solve_antipode(field, labels, probe.mult, unit, probe.comult, counit,
                               candidate=candidate)
     if antipode is None:
         raise HopfError("bialgebra admits no antipode (sigma, tau incompatible)")
-    return HopfAlgebra(field, labels, mult, unit, comult, counit, tuple(antipode),
-                       origin=BicrossedOrigin(mp, cocycles))
+    return HopfAlgebra(field, labels, probe.mult, unit, probe.comult, counit,
+                       tuple(antipode), origin=origin)
 
 
-def drinfeld_double(G: PermGroup, dim_cap: int = HOPF_DIM_CAP) -> HopfAlgebra:
-    """D(G): the bicrossed product over (G, G), adjoint <| and trivial |>."""
-    if G.order ** 2 > dim_cap:
-        raise HopfError(f"dim {G.order ** 2} exceeds cap {dim_cap}")
+def drinfeld_double(G: PermGroup) -> HopfAlgebra:
+    """D(G): the bicrossed product over (G, G), adjoint <| and trivial |>.
+
+    The cap is checked before the pair's |G|^2 action entries are built."""
+    if G.order ** 2 > HOPF_DIM_CAP:
+        raise HopfError(f"dim {G.order ** 2} exceeds cap {HOPF_DIM_CAP}")
     return bicrossed_product(drinfeld_pair(G))
 
 

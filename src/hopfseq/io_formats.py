@@ -57,8 +57,7 @@ def load_group(text: str, name: str = "", cap: int = ORDER_CAP) -> PermGroup:
 
 def dump_matched_pair(mp: MatchedPair) -> str:
     out = ["[G]", dump_group(mp.G).rstrip(), "[GAMMA]", dump_group(mp.Gamma).rstrip()]
-    gx = {x: i for i, x in enumerate(mp.G.elements)}
-    gam = {s: i for i, s in enumerate(mp.Gamma.elements)}
+    gx, gam = mp.G.element_index(), mp.Gamma.element_index()
     out.append("[TRIANGLE_LEFT]")
     for s in mp.Gamma.elements:
         out.append(" ".join(str(gx[mp.rtri(s, x)]) for x in mp.G.elements))

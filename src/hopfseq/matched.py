@@ -166,12 +166,6 @@ def zappa_szep_reconstruction(mp: MatchedPair):
     return pairs, mul
 
 
-def reconstructed_group_table(mp: MatchedPair) -> list[list[int]]:
-    pairs, mul = zappa_szep_reconstruction(mp)
-    n = len(pairs)
-    return [[mul(i, j) for j in range(n)] for i in range(n)]
-
-
 def reconstruction_matches_ambient(mp: MatchedPair, E: PermGroup) -> bool:
     """Check (x, s) -> x*s is an isomorphism onto E (multiplication tables)."""
     pairs, mul = zappa_szep_reconstruction(mp)

@@ -5,7 +5,7 @@ import pytest
 
 from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, main
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
-from hopfseq import drinfeld_double, group_algebra, symmetric
+from hopfseq import drinfeld_double, group_algebra, hopf, symmetric
 from hopfseq.groups import alternating
 from hopfseq.hopf import HOPF_DIM_CAP
 
@@ -103,6 +103,13 @@ def test_certify_family_large_primes():
     assert code == EXIT_OK and "verdict: SIMPLE" in text
     assert [ln for ln in text.splitlines() if ln.startswith("-- ")] == [
         "-- split-2x1000000007"]
+    # whether a part is prime is read off the exponents of p q^2, so q near
+    # 10^9 needs no trial division up to q
+    code, text = run_cli("certify", "cpq:3,1000000007")
+    assert code == EXIT_OK and "verdict: SIMPLE" in text
+    assert [ln for ln in text.splitlines() if ln.startswith("-- ")] == [
+        "-- split-3x1000000014000000049", "-- split-1000000007x3000000021",
+        "-- split-3000000021x1000000007", "-- split-1000000014000000049x3"]
     assert time.perf_counter() - started < 10
 
 
@@ -144,6 +151,8 @@ BAD_INPUTS = [
     (("verify", "hopf", "{COMULT:0 : 50 0 : 1}"), {}, EXIT_PARSE),
     (("verify", "hopf", "{ANTIPODE:0 : x : 1}"), {}, EXIT_PARSE),
     (("verify", "hopf", "{BASIS:zz label}"), {}, EXIT_PARSE),
+    # a prime above the cap is refused before trial division
+    (("ledger", "ty:1000000000000000003"), {}, EXIT_CAP),
 ]
 
 
@@ -210,6 +219,22 @@ def test_hopf_dim_cap_refuses_at_once(tmp_path, argv):
     lines = text.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: dimension ")
     assert lines[0].endswith(f" exceeds cap {HOPF_DIM_CAP}")
+
+
+def test_build_double_verifies_once(monkeypatch):
+    # bicrossed_product checks the bialgebra families and solve_antipode the
+    # antipode ones; cmd_build must not run either pass again
+    calls = {"_violations": 0, "_antipode_violations": 0}
+    for name in calls:
+        original = getattr(hopf, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(hopf, name, counted)
+    assert run_cli("build", "double", "s3") == (EXIT_OK, "dim 36, conductor 1, axioms PASS\n")
+    assert calls == {"_violations": 1, "_antipode_violations": 1}
 
 
 def test_hopf_dim_cap_accepts_double_a4():

@@ -203,6 +203,18 @@ def test_quotient_group():
     assert Q.order == 6 and iso_label(Q) == "S3"
 
 
+@pytest.mark.parametrize("name", ["s3", "s4", "d6", "q8", "a4", "s5"])
+def test_quotient_projection_is_onto_with_kernel_n(name):
+    G = named_group(name)
+    for N in normal_subgroups(G):
+        Q, proj = quotient_group(G, N)
+        assert all(proj[compose(a, b)] == compose(proj[a], proj[b])
+                   for a in G.elements for b in G.elements)
+        assert set(proj.values()) == set(Q.elements)
+        assert {g for g in G.elements if proj[g] == Q.identity()} == set(N.elements)
+        assert Q.generators == tuple(proj[g] for g in G.generators)
+
+
 def test_exact_factorizations_a6_empty(a6):
     assert exact_factorizations(a6, proper_only=True) == []
 

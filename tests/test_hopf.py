@@ -20,6 +20,7 @@ from hopfseq import (
 from hopfseq.cyclotomic import get_field
 from hopfseq.groups import alternating, dihedral
 from hopfseq.hopf import (
+    HOPF_DIM_CAP,
     HopfAlgebra,
     HopfError,
     antipode_invertible,
@@ -177,8 +178,9 @@ def test_report_counts_instances_checked(double_s3):
 
 
 def test_drinfeld_double_dim_cap():
+    assert alternating(5).order ** 2 > HOPF_DIM_CAP
     with pytest.raises(HopfError):
-        drinfeld_double(alternating(5), dim_cap=1000)
+        drinfeld_double(alternating(5))
 
 
 def test_solve_antipode_recovers_group_inverse():
