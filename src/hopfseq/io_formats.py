@@ -7,11 +7,12 @@ again reproduces the same bytes).
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .cyclotomic import get_field
 from .groups import ORDER_CAP, PermGroup
-from .hopf import HopfAlgebra
+from .hopf import HopfAlgebra, verify_work
 from .matched import MatchedPair
 from .perm import PermParseError, cycle_string, parse_cycles
 
@@ -168,6 +169,34 @@ def read_hopf_header(lines) -> tuple[int, int, int]:
     if len(header) != 2:
         raise FormatError("missing DIM or CONDUCTOR header")
     return header["DIM"], header["CONDUCTOR"], idx
+
+
+def dump_work(lines, dim: int, start: int) -> int:
+    """hopf.verify_work of a dump, from the indices of its MULT and COMULT
+    lines alone (lines[start:] are the sections), so that a caller can
+    refuse it before the scalars are parsed.  A line whose indices do not
+    read is skipped; load_hopf reports it."""
+    rows: Counter = Counter()    # i of 'i j : k : c'
+    deltas: Counter = Counter()  # i of 'i : j k : c'
+    firsts: Counter = Counter()  # j of 'i : j k : c'
+    current = None
+    for ln in lines[start:]:
+        ln = ln.strip()
+        if ln in _SECTIONS or ln == "END":
+            current = ln
+            continue
+        try:
+            if current == "MULT":
+                rows[int(ln.split(None, 1)[0])] += 1
+            elif current == "COMULT":
+                i, j = ln.split(":", 2)[:2]
+                deltas[int(i)] += 1
+                firsts[int(j.split(None, 1)[0])] += 1
+        except (ValueError, IndexError):
+            continue
+    return verify_work(dim, sum(rows.values()), max(rows.values(), default=0),
+                       sum(deltas.values()), max(deltas.values(), default=0),
+                       max(firsts.values(), default=0))
 
 
 def load_hopf(text: str) -> HopfAlgebra:

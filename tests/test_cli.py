@@ -7,7 +7,7 @@ from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, main
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from hopfseq import drinfeld_double, group_algebra, hopf, symmetric
 from hopfseq.groups import alternating
-from hopfseq.hopf import HOPF_DIM_CAP
+from hopfseq.hopf import HOPF_WORK_CAP, bicrossed_work
 
 
 def run_cli(*argv):
@@ -198,8 +198,8 @@ def test_cap_order_applies_to_group_files(tmp_path, monkeypatch):
     assert code == EXIT_CAP and "cap 100" in text
 
 
-# every verb that verifies a Hopf algebra refuses one above HOPF_DIM_CAP
-# before building or parsing it
+# every verb that verifies a Hopf algebra refuses one whose verification
+# work is above HOPF_WORK_CAP before building or parsing it
 OVER_HOPF_CAP = [
     ("build", "double", "a5"),
     ("build", "group", "s6"),
@@ -213,12 +213,36 @@ OVER_HOPF_CAP = [
 @pytest.mark.parametrize("argv", OVER_HOPF_CAP)
 def test_hopf_dim_cap_refuses_at_once(tmp_path, argv):
     huge = tmp_path / "huge.hopf"
-    huge.write_text("HOPF v1\nDIM 3600\nCONDUCTOR 1\nBASIS\n")  # no tensors follow
+    # no tensors follow, so the dim**2 pairs alone must exceed the cap
+    huge.write_text("HOPF v1\nDIM 10000\nCONDUCTOR 1\nBASIS\n")
     code, text = run_cli(*(a.format(huge=huge) for a in argv))
     assert code == EXIT_CAP
     lines = text.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: dimension ")
-    assert lines[0].endswith(f" exceeds cap {HOPF_DIM_CAP}")
+    assert lines[0].endswith(f" exceeds cap {HOPF_WORK_CAP}")
+
+
+# dumps whose dimension is under the cap but whose tensors are not: 30
+# dense rows of mult at dim 1000 (about 6e7 triples), and one Delta(e_0) of
+# 4000 terms at dim 300 (3.2e7 coassociativity terms).  Their scalars do not
+# parse, so a refusal shows that the cap is read before the full parse.
+DENSE_DUMPS = {
+    "mult": (1000, [f"{i} {j} : 0 : x" for i in range(30) for j in range(1000)], []),
+    "comult": (300, [], [f"0 : {j % 300} {j // 300} : x" for j in range(4000)]),
+}
+
+
+@pytest.mark.parametrize("which", sorted(DENSE_DUMPS))
+def test_hopf_work_cap_reads_the_tensor_lines(tmp_path, which):
+    dim, mult, comult = DENSE_DUMPS[which]
+    path = tmp_path / "dense.hopf"
+    path.write_text("\n".join(["HOPF v1", f"DIM {dim}", "CONDUCTOR 1", "BASIS", "MULT",
+                                *mult, "COMULT", *comult, "UNIT", "COUNIT", "ANTIPODE",
+                                "END"]) + "\n")
+    code, text = run_cli("verify", "hopf", str(path))
+    assert code == EXIT_CAP
+    assert text.startswith(f"error: dimension {dim}: verification work ")
+    assert text.endswith(f" exceeds cap {HOPF_WORK_CAP}\n") and text.count("\n") == 1
 
 
 def test_build_double_verifies_once(monkeypatch):
@@ -238,7 +262,7 @@ def test_build_double_verifies_once(monkeypatch):
 
 
 def test_hopf_dim_cap_accepts_double_a4():
-    assert HOPF_DIM_CAP >= 144
+    assert bicrossed_work(12, 12) <= HOPF_WORK_CAP
     assert run_cli("build", "double", "a4") == (EXIT_OK, "dim 144, conductor 1, axioms PASS\n")
 
 

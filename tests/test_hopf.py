@@ -20,12 +20,14 @@ from hopfseq import (
 from hopfseq.cyclotomic import get_field
 from hopfseq.groups import alternating, dihedral
 from hopfseq.hopf import (
-    HOPF_DIM_CAP,
+    HOPF_WORK_CAP,
     HopfAlgebra,
     HopfError,
     antipode_invertible,
     antipode_is_antihomomorphism,
+    bicrossed_work,
 )
+from hopfseq.io_formats import dump_hopf, dump_work, read_hopf_header
 from hopfseq.perm import inverse
 
 
@@ -177,8 +179,52 @@ def test_report_counts_instances_checked(double_s3):
         assert list(verify_hopf_axioms(H, include_antipode=False).checked) == list(families[:-2])
 
 
+def test_report_counts_instances_evaluated(double_s3):
+    # associativity covers all 36**3 triples and evaluates 36 * 36 * 6: for
+    # every (i, j) the rows of e_j and of e_i e_j share one support of 6
+    report = verify_hopf_axioms(double_s3)
+    assert report.checked["associativity"] == 46656
+    assert report.evaluated == {
+        "unit-left": 36, "unit-right": 36, "associativity": 7776,
+        "counit-left": 36, "counit-right": 36, "coassociativity": 36,
+        "comult-unit": 1, "comult-multiplicative": 216, "counit-unit": 1,
+        "counit-multiplicative": 216, "antipode-left": 36, "antipode-right": 36,
+    }
+    assert list(report.evaluated) == list(report.checked)
+
+
+def test_work_bound_matches_counts_and_covers_evaluation(double_s3):
+    # dump_work on a dump's lines agrees with the closed form, and bounds the
+    # pairs and the triples actually evaluated
+    S4 = symmetric(4)
+    cases = [
+        (group_algebra(S4), bicrossed_work(24, 1)),
+        (dual_group_algebra(S4), bicrossed_work(1, 24)),
+        (double_s3, bicrossed_work(6, 6)),
+        (dual_hopf(double_s3), bicrossed_work(6, 6)),
+        (drinfeld_double(quaternion8()), bicrossed_work(8, 8)),
+    ]
+    for H, work in cases:
+        lines = dump_hopf(H).splitlines()
+        dim, _, start = read_hopf_header(lines)
+        assert dump_work(lines, dim, start) == work
+        evaluated = verify_hopf_axioms(H).evaluated
+        assert H.dim ** 2 + evaluated["associativity"] <= work
+
+
+def test_work_cap_accepts_every_old_size_and_d_s4():
+    # the cap is the work of k^Z216, the largest of every bicrossed product
+    # (kG and k^G included) that the old dimension cap of 216 accepted
+    assert HOPF_WORK_CAP == bicrossed_work(1, 216)
+    assert all(bicrossed_work(g, gamma) <= HOPF_WORK_CAP
+               for g in range(1, 217) for gamma in range(1, 216 // g + 1))
+    assert bicrossed_work(24, 24) <= HOPF_WORK_CAP        # D(S4)
+    for g, gamma in ((576, 1), (1, 576), (27, 27), (60, 60)):
+        assert bicrossed_work(g, gamma) > HOPF_WORK_CAP
+
+
 def test_drinfeld_double_dim_cap():
-    assert alternating(5).order ** 2 > HOPF_DIM_CAP
+    assert bicrossed_work(60, 60) > HOPF_WORK_CAP
     with pytest.raises(HopfError):
         drinfeld_double(alternating(5))
 
