@@ -44,6 +44,7 @@ from .hopf import (
     HopfError,
     bicrossed_product,
     bicrossed_work,
+    check_conductor,
     check_work,
     drinfeld_double,
     dual_group_algebra,
@@ -197,6 +198,9 @@ def cmd_factorize(args, out) -> int:
 
 def _build_algebra(args):
     kind = args.kind
+    if args.conductor < 1:
+        raise CliError(f"--conductor must be at least 1, got {args.conductor}", EXIT_PARSE)
+    check_conductor(args.conductor)
     if kind in ("group", "dual", "double"):
         G = _resolve_group(args.target, args.cap_order)
         # kG, k^G and D(G) are the bicrossed products over (G, 1), (1, G)

@@ -43,6 +43,7 @@ from .linalg import (
     nullspace_of_map,
     rank_of_columns,
     subspace_equal,
+    transpose,
 )
 from .matched import MatchedPair, verify_compatibility
 from .perm import Perm
@@ -95,14 +96,14 @@ class HopfMorphism:
         bad: list[tuple] = []
         if self.apply(src.unit) != tgt.unit:
             bad.append(("unit",))
-        for i in range(src.dim):
+        for i, row in enumerate(src.mult):
             for j in range(src.dim):
-                lhs = self.apply(src.mul_vec(src.basis_vec(i), src.basis_vec(j)))
+                lhs = self.apply(row.get(j, {}))
                 rhs = tgt.mul_vec(self.cols[i], self.cols[j])
                 if lhs != rhs:
                     bad.append(("multiplicative", i, j))
         for i in range(src.dim):
-            if src.counit_vec(src.basis_vec(i)) != tgt.counit_vec(self.cols[i]):
+            if src.counit[i] != tgt.counit_vec(self.cols[i]):
                 bad.append(("counit", i))
             lhs = tgt.comult_vec(self.cols[i])
             rhs: dict = {}
@@ -116,17 +117,8 @@ class HopfMorphism:
 
     def transpose(self) -> "HopfMorphism":
         """The dual morphism target* -> source*."""
-        dual_src = dual_hopf(self.target)
-        dual_tgt = dual_hopf(self.source)
-        cols = []
-        for j in range(self.target.dim):
-            col = {}
-            for i in range(self.source.dim):
-                c = self.cols[i].get(j)
-                if c is not None and not c.is_zero():
-                    col[i] = c
-            cols.append(col)
-        return HopfMorphism(dual_src, dual_tgt, cols)
+        return HopfMorphism(dual_hopf(self.target), dual_hopf(self.source),
+                            transpose(self.cols, self.target.dim))
 
 
 def identity_morphism(H: HopfAlgebra) -> HopfMorphism:
@@ -146,7 +138,7 @@ def unit_morphism(H: HopfAlgebra) -> HopfMorphism:
 
 def trivial_hopf(field: CycField) -> HopfAlgebra:
     one = field.one
-    return HopfAlgebra(field, ["1"], (( ((0, one),), ),), {0: one},
+    return HopfAlgebra(field, ["1"], [{0: {0: one}}], {0: one},
                        (((0, 0, one),),), (one,), ({0: one},))
 
 
@@ -324,8 +316,8 @@ def hopf_cokernel(f: HopfMorphism) -> tuple[HopfAlgebra, HopfMorphism]:
             raise ExactnessError("ideal is not a coideal")
 
     lift = [H2.basis_vec(complement[a]) for a in range(qdim)]
-    mult = tuple(tuple(tuple(sorted(project(H2.mul_vec(lift[a], lift[b])).items()))
-                       for b in range(qdim)) for a in range(qdim))
+    mult = [{b: v for b in range(qdim) if (v := project(H2.mul_vec(lift[a], lift[b])))}
+            for a in range(qdim)]
     unit = project(H2.unit)
     comult = [tuple((x, y, c) for (x, y), c in sorted(fold(H2.comult_vec(lift[a])).items()))
               for a in range(qdim)]
@@ -494,8 +486,8 @@ def standalone_subalgebra(K: HopfSubalgebra) -> HopfAlgebra:
                                  else "comultiplication does not close in K (x) K")
         return out
 
-    mult = tuple(tuple(tuple(sorted(coords(H.mul_vec(basis[a], basis[b])).items()))
-                       for b in range(k)) for a in range(k))
+    mult = [{b: v for b in range(k) if (v := coords(H.mul_vec(basis[a], basis[b])))}
+            for a in range(k)]
     unit = coords(H.unit)
     comult = tuple(tuple((a, b, c) for (a, b), c in sorted(coords(H.comult_vec(basis[i]), tens).items()))
                    for i in range(k))
@@ -716,13 +708,10 @@ def _group_form_with_perms(H: HopfAlgebra):
     for i in range(n):
         if H.comult[i] != ((i, i, one),) or H.counit[i] != one:
             return None
-        row = []
-        for j in range(n):
-            cell = H.mult[i][j]
-            if len(cell) != 1 or cell[0][1] != one:
-                return None
-            row.append(cell[0][0])
-        table.append(tuple(row))
+        row = H.mult[i]  # every e_i e_j is one basis vector e_k
+        if len(row) != n or any(list(cell.values()) != [one] for cell in row.values()):
+            return None
+        table.append(tuple(k for cell in row.values() for k in cell))
     if any(sorted(p) != list(range(n)) for p in table):
         return None
     try:
@@ -740,14 +729,8 @@ def _dual_form_with_perms(H: HopfAlgebra):
         return None
     if any(not (c.is_one() or c.is_zero()) for c in H.counit):
         return None
-    for i in range(n):
-        for j in range(n):
-            cell = H.mult[i][j]
-            if i == j:
-                if cell != ((i, one),):
-                    return None
-            elif cell != ():
-                return None
+    if any(row != {i: {i: one}} for i, row in enumerate(H.mult)):
+        return None
     law = {}
     for i in range(n):
         for j, k, c in H.comult[i]:
@@ -850,8 +833,9 @@ def composition_series_hopf(H, chooser=None) -> HopfCompSeries:
 
 
 def _structure_key(H: HopfAlgebra) -> tuple:
-    return (H.field.conductor, H.dim, H.mult, tuple(sorted(H.unit.items())),
-            H.comult, H.counit,
+    return (H.field.conductor, H.dim,
+            tuple(tuple((j, tuple(cell.items())) for j, cell in row.items()) for row in H.mult),
+            tuple(sorted(H.unit.items())), H.comult, H.counit,
             tuple(tuple(sorted(col.items())) for col in H.antipode))
 
 

@@ -2,7 +2,7 @@
 
 A HopfAlgebra stores, over a fixed cyclotomic field:
 
-    mult[i][j]  = ((k, c), ...)        e_i e_j = sum c e_k
+    mult[i]     = {j: {k: c}}          e_i e_j = sum c e_k, for e_i e_j != 0
     unit        = sparse vector        1 = sum u_i e_i
     comult[i]   = ((j, k, c), ...)     Delta(e_i) = sum c e_j (x) e_k
     counit[i]   = scalar
@@ -10,9 +10,10 @@ A HopfAlgebra stores, over a fixed cyclotomic field:
 
 Constructions: group algebra kG, its dual k^G, bicrossed products
 k^Gamma #(sigma,tau) kG over a matched pair, the Drinfeld double D(G),
-and duals.  Axioms are verified exhaustively over basis tuples with
-zero tolerance; the antipode is obtained by solving the defining linear
-system when no verified closed form applies.
+and duals.  The rows of mult hold only the nonzero products, in increasing
+j and k, with no zero coefficient.  Axioms are verified exhaustively over basis
+tuples with zero tolerance; the antipode is obtained by solving the
+defining linear system when no verified closed form applies.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import chain
 from .cocycles import PairedCocycles, trivial_paired_cocycles
 from .cyclotomic import CycField, CycScalar, get_field
 from .groups import PermGroup
-from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system
+from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system, transpose
 from .matched import MatchedPair, drinfeld_pair
 from .perm import compose, cycle_string, inverse
 
@@ -35,6 +36,10 @@ from .perm import compose, cycle_string, inverse
 # D(S4) (dim 576, work 17.3 M, 7 s to build, 0.4 us a unit) and refuses kZ576
 # and k^Z576 (work 192 M and 574 M).  Measured on 2 CPUs, Python 3.11.7.
 HOPF_WORK_CAP = 30_326_616
+# Building Q(zeta_N) takes time that grows with the divisors of N: at most
+# 0.07 s for N <= 1000 (N = 900), but 1.1 s for N = 5040 and 5.1 s for
+# N = 10080.  Measured on 2 CPUs, Python 3.11.7.
+CONDUCTOR_CAP = 1_000
 SOLVE_DIM_CAP = 12           # general antipode solve; closed forms above this
 MAX_REPORT = 1_000
 
@@ -60,6 +65,11 @@ class BicrossedOrigin:
         return self.pair.Gamma.element_index()[g] * G.order + G.element_index()[x]
 
 
+def _nonzero(vec) -> dict:
+    """vec without its zero entries, in increasing key order."""
+    return {k: c for k, c in sorted(vec.items()) if not c.is_zero()}
+
+
 class HopfAlgebra:
     __slots__ = ("field", "dim", "basis_labels", "mult", "unit", "comult",
                  "counit", "antipode", "origin")
@@ -69,8 +79,9 @@ class HopfAlgebra:
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
-        self.mult = tuple(tuple(tuple(cell) for cell in row) for row in mult)
-        self.unit = {k: v for k, v in unit.items() if not v.is_zero()}
+        self.mult = tuple({j: cell for j, c in sorted(row.items()) if (cell := _nonzero(c))}
+                          for row in mult)
+        self.unit = _nonzero(unit)
         self.comult = tuple(tuple(terms) for terms in comult)
         self.counit = tuple(counit)
         self.antipode = None if antipode is None else tuple(antipode)
@@ -87,13 +98,13 @@ class HopfAlgebra:
         for i, a in u.items():
             row = mult[i]
             for j, b in v.items():
-                cell = row[j]
-                if not cell:
+                cell = row.get(j)
+                if cell is None:
                     continue
                 ab = a * b
                 if ab.is_zero():
                     continue
-                for k, c in cell:
+                for k, c in cell.items():
                     add_term(out, k, ab * c)
         return out
 
@@ -126,15 +137,8 @@ class HopfAlgebra:
             return False
         if self.counit != other.counit or self.unit != other.unit:
             return False
-        if self.antipode != other.antipode:
-            return False
-        for i in range(self.dim):
-            if self.comult[i] != other.comult[i]:
-                return False
-            for j in range(self.dim):
-                if self.mult[i][j] != other.mult[i][j]:
-                    return False
-        return True
+        return (self.antipode == other.antipode and self.comult == other.comult
+                and self.mult == other.mult)
 
 
 # ---------------------------------------------------------------------------
@@ -163,58 +167,51 @@ def _times(a: CycScalar, b: CycScalar, one: CycScalar) -> CycScalar:
     return b if a is one else a if b is one else a * b
 
 
+_ZERO: dict = {}  # the zero vector, for a product absent from its row; never written
+
+
 def _apply(cols, vec: Vec, one: CycScalar) -> dict:
-    """sum of c * cols[x] over the entries (x, c) of vec; a lone entry with
+    """sum of c * cols[x] over the entries (x, c) of vec, where cols maps an
+    index to a sparse vector and a missing index to zero; a lone entry with
     coefficient one returns cols[x] itself, which callers only read."""
     if len(vec) == 1:
         for x, c in vec.items():
             if c is one:
-                return cols[x]
+                return cols.get(x, _ZERO)
     out: dict = {}
     for x, c in vec.items():
-        for k, v in cols[x].items():
+        for k, v in cols.get(x, _ZERO).items():
             add_term(out, k, _times(c, v, one))
     return out
 
 
-def _products(H: HopfAlgebra) -> tuple[list, list]:
-    """P[i][j] = e_i e_j as a sparse vector, read once from its mult cell,
-    and the transpose PT[j][i] = P[i][j]."""
-    P = [[{} for _ in row] for row in H.mult]
-    for prow, row in zip(P, H.mult):
-        for v, cell in zip(prow, row):
-            for k, c in cell:
-                add_term(v, k, c)
-    return P, [list(col) for col in zip(*P)]
-
-
-def _antipode_violations(H: HopfAlgebra, P: list, PT: list, checked: dict,
-                         evaluated: dict):
-    """m(S (x) id)Delta = u eps = m(id (x) S)Delta on every basis vector."""
-    one, S = H.field.one, H.antipode
+def _antipode_violations(H: HopfAlgebra, S, cols: list, checked: dict, evaluated: dict):
+    """m(S (x) id)Delta = u eps = m(id (x) S)Delta on every basis vector, for
+    the antipode columns S."""
+    one, P = H.field.one, H.mult
     for i in range(H.dim):
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult[i]:
-            for m, d in _apply(PT[k], S[j], one).items():   # S(e_j) e_k
+            for m, d in _apply(cols[k], S[j], one).items():   # S(e_j) e_k
                 add_term(left, m, _times(c, d, one))
-            for m, d in _apply(P[j], S[k], one).items():    # e_j S(e_k)
+            for m, d in _apply(P[j], S[k], one).items():      # e_j S(e_k)
                 add_term(right, m, _times(c, d, one))
-        target = _apply([H.unit], {0: H.counit[i]}, one)  # eps(e_i) 1
+        target = _apply({0: H.unit}, {0: H.counit[i]}, one)  # eps(e_i) 1
         for fam, got in (("antipode-left", left), ("antipode-right", right)):
             checked[fam] = evaluated[fam] = checked.get(fam, 0) + 1
             if got != target:
                 yield fam, i
 
 
-def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dict):
+def _violations(H: HopfAlgebra, cols: list, checked: dict, evaluated: dict):
     """Every failing instance of the bialgebra axioms, in a fixed order.
 
     The families over pairs and triples skip the instances whose two sides
     are empty sums by sparsity; those count as checked (covered) but not as
     evaluated.  Their counts are kept per row, so that they stay cheap and
     are exact when the report fills."""
-    field, dim, unit, counit = H.field, H.dim, H.unit, H.counit
+    field, dim, unit, counit, P = H.field, H.dim, H.unit, H.counit, H.mult
     one, zero = field.one, field.zero
 
     def failed(fam, bad: bool) -> bool:
@@ -222,7 +219,7 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dic
         return bad
 
     for i in range(dim):
-        if failed("unit-left", _apply(PT[i], unit, one) != {i: one}):
+        if failed("unit-left", _apply(cols[i], unit, one) != {i: one}):
             yield "unit-left", i
         if failed("unit-right", _apply(P[i], unit, one) != {i: one}):
             yield "unit-right", i
@@ -231,38 +228,37 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dic
     # the support of a row x in supp(e_i e_j), the right side unless k is in
     # the support of row j; k runs in increasing order over that union, a
     # whole row when the union is every column.
-    support = [tuple(k for k, p in enumerate(row) if p) for row in P]
     ids: dict = {}  # the distinct row supports, numbered
-    sid = [ids.setdefault(cols, len(ids)) for cols in support]
+    sid = [ids.setdefault(tuple(row), len(ids)) for row in P]
     distinct = list(ids)
     spans: dict = {}  # a set of support numbers -> the union of those supports
 
     def span(key: frozenset):
-        cols = spans.get(key)
-        if cols is None:
+        ks = spans.get(key)
+        if ks is None:
             union = set().union(*(distinct[t] for t in key))
-            cols = spans[key] = range(dim) if len(union) == dim else sorted(union)
-        return cols
+            ks = spans[key] = range(dim) if len(union) == dim else sorted(union)
+        return ks
 
     own = [span(frozenset((t,))) for t in sid]
     done = computed = 0
     for i in range(dim):
         Pi = P[i]
         for j in range(dim):
-            ij, Pj = Pi[j], P[j]
-            cols = span(frozenset([sid[j], *(sid[x] for x in ij)])) if ij else own[j]
-            for k in cols:
-                if _apply(PT[k], ij, one) != _apply(Pi, Pj[k], one):
+            ij, Pj = Pi.get(j, _ZERO), P[j]
+            ks = span(frozenset([sid[j], *(sid[x] for x in ij)])) if ij else own[j]
+            for k in ks:
+                if _apply(cols[k], ij, one) != _apply(Pi, Pj.get(k, _ZERO), one):
                     checked["associativity"] = done + k + 1
-                    evaluated["associativity"] = computed + cols.index(k) + 1
+                    evaluated["associativity"] = computed + ks.index(k) + 1
                     yield "associativity", (i, j, k)
             done += dim
-            computed += len(cols)
+            computed += len(ks)
             checked["associativity"] = done
             evaluated["associativity"] = computed
 
-    delta = [{} for _ in range(dim)]  # Delta(e_i) keyed (j, k)
-    for i, d in enumerate(delta):
+    delta = {i: {} for i in range(dim)}  # Delta(e_i) keyed (j, k)
+    for i, d in delta.items():
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult[i]:
@@ -294,7 +290,7 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dic
     # the support of row a1, the terms of every Delta(e_j) with first leg
     # a2, and one walk sums the right sides of the whole row i.
     firsts = [[] for _ in range(dim)]  # a2 -> [(j, b2, c2)]
-    for j, d in enumerate(delta):
+    for j, d in delta.items():
         for (a2, b2), c2 in d.items():
             firsts[a2].append((j, b2, c2))
     fam = "comult-multiplicative"
@@ -302,11 +298,10 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dic
     for i in range(dim):
         rhs_of: dict = {}  # j -> Delta(e_i) Delta(e_j)
         for (a1, b1), c1 in delta[i].items():
-            Pa1, Pb1 = P[a1], P[b1]
-            for a2 in support[a1]:
-                p1 = Pa1[a2]
+            Pb1 = P[b1]
+            for a2, p1 in P[a1].items():
                 for j, b2, c2 in firsts[a2]:
-                    p2 = Pb1[b2]
+                    p2 = Pb1.get(b2)
                     if p2:
                         rhs = rhs_of.setdefault(j, {})
                         c = _times(c1, c2, one)
@@ -316,7 +311,7 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dic
                                 add_term(rhs, (m1, m2), _times(cd, d2, one))
         Pi = P[i]
         for j in range(dim):
-            ij = Pi[j]
+            ij = Pi.get(j, _ZERO)
             if not ij and j not in rhs_of:
                 continue
             computed += 1
@@ -337,7 +332,7 @@ def _violations(H: HopfAlgebra, P: list, PT: list, checked: dict, evaluated: dic
     for i in range(dim):
         Pi, ci, ui = P[i], counit[i], counited[i]
         for j in range(dim):
-            ij = Pi[j]
+            ij = Pi.get(j, _ZERO)
             if not ij and not (ui and counited[j]):
                 continue
             computed += 1
@@ -355,10 +350,10 @@ def verify_hopf_axioms(H: HopfAlgebra, include_antipode: bool = True) -> AxiomRe
     The families run in a fixed order: unit, associativity over every
     triple (i, j, k), counit, coassociativity, comultiplication and counit
     as algebra maps over every pair (i, j), then (unless include_antipode
-    is false) both antipode identities.  Each product e_i e_j is read once
-    from its mult cell into a sparse vector, and every family reads those;
-    sums are exact CycScalar sums with zero entries dropped.  The report
-    lists the first MAX_REPORT failing instances in that order.
+    is false) both antipode identities.  Every family reads the products
+    from the rows of mult, and from their columns, built once here; sums
+    are exact CycScalar sums with zero entries dropped.  The report lists
+    the first MAX_REPORT failing instances in that order.
 
     ``checked`` counts the instances covered per family: dim**3 for
     associativity and dim**2 for the multiplicative families on a full
@@ -369,10 +364,10 @@ def verify_hopf_axioms(H: HopfAlgebra, include_antipode: bool = True) -> AxiomRe
     7,776.
     """
     report = AxiomReport([], {})
-    P, PT = _products(H)
-    families = _violations(H, P, PT, report.checked, report.evaluated)
+    cols = transpose(H.mult, H.dim)  # cols[j][i] = e_i e_j
+    families = _violations(H, cols, report.checked, report.evaluated)
     if include_antipode:
-        families = chain(families, _antipode_violations(H, P, PT, report.checked,
+        families = chain(families, _antipode_violations(H, H.antipode, cols, report.checked,
                                                         report.evaluated))
     for item in families:
         if not report.add(*item):
@@ -418,11 +413,16 @@ def check_work(work: int, dim: int) -> None:
                         f"{HOPF_WORK_CAP}")
 
 
+def check_conductor(conductor: int) -> None:
+    """Refuse a conductor above CONDUCTOR_CAP, before its field is built."""
+    if conductor > CONDUCTOR_CAP:
+        raise HopfError(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+
+
 def antipode_is_antihomomorphism(H: HopfAlgebra) -> bool:
-    P, _ = _products(H)
     S = H.antipode
-    return all(H.antipode_vec(P[i][j]) == H.mul_vec(S[j], S[i])
-               for i in range(H.dim) for j in range(H.dim))
+    return all(H.antipode_vec(row.get(j, _ZERO)) == H.mul_vec(S[j], S[i])
+               for i, row in enumerate(H.mult) for j in range(H.dim))
 
 
 def antipode_invertible(H: HopfAlgebra) -> bool:
@@ -433,26 +433,24 @@ def antipode_invertible(H: HopfAlgebra) -> bool:
 # antipode solving
 
 
-def solve_antipode(field: CycField, basis_labels, mult, unit, comult, counit,
-                   candidate=None):
-    """Antipode of a verified bialgebra: the solution of m(S (x) id)Delta = u eps.
+def solve_antipode(H: HopfAlgebra, candidate=None):
+    """Antipode columns of a verified bialgebra H, the solution of
+    m(S (x) id)Delta = u eps; H.antipode is neither read nor set.
 
     A caller-supplied candidate matrix is accepted once the verifier's
     antipode family passes on it: both convolution identities on every
     basis vector (a two-sided convolution inverse of the identity is
-    unique, so a verified candidate *is* the solution).  With no candidate
-    the sparse linear system is solved outright and its solution is put
-    through the same family; returns None when the system is inconsistent
-    or the solution fails, i.e. the bialgebra is not a Hopf algebra.
+    unique, so a verified candidate *is* the solution).  With no candidate,
+    or one that fails, the sparse linear system is solved outright and its
+    solution is put through the same family; returns None when the system
+    is inconsistent or the solution fails, i.e. the bialgebra is not a
+    Hopf algebra.
     """
-    dim = len(basis_labels)
-    probe = HopfAlgebra(field, basis_labels, mult, unit, comult, counit,
-                        antipode=None)
-    P, PT = _products(probe)
+    field, dim, comult = H.field, H.dim, H.comult
+    products = transpose(H.mult, dim)  # products[k][i] = e_i e_k
 
     def passes(cols) -> bool:
-        probe.antipode = tuple(cols)
-        return next(_antipode_violations(probe, P, PT, {}, {}), None) is None
+        return next(_antipode_violations(H, cols, products, {}, {}), None) is None
 
     if candidate is not None and passes(candidate):
         return candidate
@@ -467,11 +465,11 @@ def solve_antipode(field: CycField, basis_labels, mult, unit, comult, counit,
     rhs: dict = {}
     for a in range(dim):
         for j, k, c in comult[a]:
-            for i in range(dim):
-                for m, d in mult[i][k]:
+            for i, cell in products[k].items():
+                for m, d in cell.items():
                     add_term(rows.setdefault((a, m), {}), (i, j), c * d)
-        for m, u in unit.items():
-            rhs[(a, m)] = counit[a] * u
+        for m, u in H.unit.items():
+            rhs[(a, m)] = H.counit[a] * u
 
     keys = sorted(set(rows) | set(rhs))
     system = []
@@ -499,8 +497,8 @@ def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     elems = G.elements
     index = G.element_index()
     n = len(elems)
-    mult = tuple(tuple(((index[compose(elems[i], elems[j])], one),)
-                       for j in range(n)) for i in range(n))
+    mult = [{j: {index[compose(elems[i], elems[j])]: one} for j in range(n)}
+            for i in range(n)]
     unit = {index[G.identity()]: one}
     comult = tuple(((i, i, one),) for i in range(n))
     counit = tuple(one for _ in range(n))
@@ -516,8 +514,7 @@ def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     elems = G.elements
     index = G.element_index()
     n = len(elems)
-    mult = tuple(tuple(((i, one),) if i == j else ()
-                       for j in range(n)) for i in range(n))
+    mult = [{i: {i: one}} for i in range(n)]
     unit = {i: one for i in range(n)}
     comult = []
     for i, g in enumerate(elems):
@@ -555,11 +552,9 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     basis, pos = origin.basis(), origin.position
     labels = [f"e[{cycle_string(g)}]#{cycle_string(x)}" for g, x in basis]
 
-    mult = []
-    for g, x in basis:
-        gx = mp.ltri(g, x)
-        mult.append(tuple(((pos(g, compose(x, y)), zeta(cocycles.sigma_at(g, x, y))),)
-                          if h == gx else () for h, y in basis))
+    # e_g # x times e_h # y is nonzero only for h = g <| x
+    mult = ({pos(mp.ltri(g, x), y): {pos(g, compose(x, y)): zeta(cocycles.sigma_at(g, x, y))}
+             for y in G.elements} for g, x in basis)
     eG, eGamma = G.identity(), Gamma.identity()
     unit = {pos(g, eG): one for g in Gamma.elements}
     comult = []
@@ -571,9 +566,8 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
         comult.append(tuple(terms))
     counit = tuple(one if g == eGamma else field.zero for g, x in basis)
 
-    probe = HopfAlgebra(field, labels, mult, unit, comult, counit, antipode=None,
-                        origin=origin)
-    pre = verify_hopf_axioms(probe, include_antipode=False)
+    H = HopfAlgebra(field, labels, mult, unit, comult, counit, antipode=None, origin=origin)
+    pre = verify_hopf_axioms(H, include_antipode=False)
     if not pre.ok:
         raise HopfError(f"bialgebra axioms fail: {pre.violations[0]}")
 
@@ -581,12 +575,11 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     # trivial cocycles; solve_antipode falls through to the solve when not
     candidate = [{pos(inverse(mp.ltri(g, x)), inverse(mp.rtri(g, x))): one}
                  for g, x in basis]
-    antipode = solve_antipode(field, labels, probe.mult, unit, probe.comult, counit,
-                              candidate=candidate)
+    antipode = solve_antipode(H, candidate=candidate)
     if antipode is None:
         raise HopfError("bialgebra admits no antipode (sigma, tau incompatible)")
-    return HopfAlgebra(field, labels, probe.mult, unit, probe.comult, counit,
-                       tuple(antipode), origin=origin)
+    H.antipode = tuple(antipode)
+    return H
 
 
 def drinfeld_double(G: PermGroup) -> HopfAlgebra:
@@ -601,26 +594,18 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis: all tensors transposed."""
     field = H.field
     dim = H.dim
-    mult_d: list[list[list]] = [[[] for _ in range(dim)] for _ in range(dim)]
+    mult: list[dict] = [{} for _ in range(dim)]
     for k in range(dim):
         for i, j, c in H.comult[k]:
-            mult_d[i][j].append((k, c))
-    mult = tuple(tuple(tuple(cell) for cell in row) for row in mult_d)
-    unit = {i: c for i, c in enumerate(H.counit) if not c.is_zero()}
+            add_term(mult[i].setdefault(j, {}), k, c)
+    unit = dict(enumerate(H.counit))
     comult_d: list[list] = [[] for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            for k, c in H.mult[i][j]:
+    for i, row in enumerate(H.mult):
+        for j, cell in row.items():
+            for k, c in cell.items():
                 comult_d[k].append((i, j, c))
     comult = tuple(tuple(terms) for terms in comult_d)
     counit = tuple(H.unit.get(i, field.zero) for i in range(dim))
-    antipode = []
-    for j in range(dim):
-        col = {}
-        for i in range(dim):
-            c = H.antipode[i].get(j)
-            if c is not None and not c.is_zero():
-                col[i] = c
-        antipode.append(col)
+    antipode = transpose([_nonzero(col) for col in H.antipode], dim)
     labels = [f"{lab}^" for lab in H.basis_labels]
     return HopfAlgebra(field, labels, mult, unit, comult, counit, tuple(antipode))

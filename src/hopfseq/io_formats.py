@@ -12,7 +12,8 @@ from fractions import Fraction
 
 from .cyclotomic import get_field
 from .groups import ORDER_CAP, PermGroup
-from .hopf import HopfAlgebra, verify_work
+from .hopf import HopfAlgebra, check_conductor, verify_work
+from .linalg import add_term
 from .matched import MatchedPair
 from .perm import PermParseError, cycle_string, parse_cycles
 
@@ -119,9 +120,9 @@ def dump_hopf(H: HopfAlgebra) -> str:
     for i, lab in enumerate(H.basis_labels):
         out.append(f"{i} {lab}")
     out.append("MULT")
-    for i in range(H.dim):
-        for j in range(H.dim):
-            for k, c in H.mult[i][j]:
+    for i, row in enumerate(H.mult):
+        for j, cell in row.items():
+            for k, c in cell.items():
                 out.append(f"{i} {j} : {k} : {_coords_str(c)}")
     out.append("COMULT")
     for i in range(H.dim):
@@ -149,7 +150,8 @@ def read_hopf_header(lines) -> tuple[int, int, int]:
     """DIM, CONDUCTOR and the header's line count of a Hopf dump.
 
     Reads no further than the first section name, so a caller can check
-    the dimension of a dump before its tensors are parsed.
+    the dimension of a dump before its tensors are parsed.  A conductor
+    below 1 is a FormatError, one above hopf.CONDUCTOR_CAP a HopfError.
     """
     it = iter(lines)
     if next(it, "").strip() != "HOPF v1":
@@ -168,6 +170,9 @@ def read_hopf_header(lines) -> tuple[int, int, int]:
         idx += 1
     if len(header) != 2:
         raise FormatError("missing DIM or CONDUCTOR header")
+    if header["CONDUCTOR"] < 1:
+        raise FormatError("CONDUCTOR must be at least 1")
+    check_conductor(header["CONDUCTOR"])
     return header["DIM"], header["CONDUCTOR"], idx
 
 
@@ -263,12 +268,10 @@ def load_hopf(text: str) -> HopfAlgebra:
         i_str, _, lab = ln.partition(" ")
         labels[index(i_str, "basis", lno)] = lab
 
-    mult_cells: dict[tuple[int, int], list] = {}
-    for lno, ln in chunks["MULT"]:
+    mult: list[dict] = [{} for _ in range(dim)]
+    for lno, ln in chunks["MULT"]:  # repeated 'i j : k' lines are summed
         (i, j, k), c = entry("MULT", (2, 1), lno, ln)
-        mult_cells.setdefault((i, j), []).append((k, c))
-    mult = tuple(tuple(tuple(mult_cells.get((i, j), ()))
-                       for j in range(dim)) for i in range(dim))
+        add_term(mult[i].setdefault(j, {}), k, c)
 
     comult_terms: dict[int, list] = {}
     for lno, ln in chunks["COMULT"]:

@@ -34,6 +34,15 @@ def add_term(acc: dict, k, c: CycScalar) -> None:
         acc[k] = c
 
 
+def transpose(rows, n: int) -> list[Vec]:
+    """The n columns of a sequence of sparse rows: out[j][i] = rows[i][j]."""
+    out: list[Vec] = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            out[j][i] = c
+    return out
+
+
 def vec_scale(v: Vec, c: CycScalar) -> Vec:
     return {k: c * a for k, a in v.items()}
 

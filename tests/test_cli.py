@@ -153,12 +153,22 @@ BAD_INPUTS = [
     (("verify", "hopf", "{BASIS:zz label}"), {}, EXIT_PARSE),
     # a prime above the cap is refused before trial division
     (("ledger", "ty:1000000000000000003"), {}, EXIT_CAP),
+    # a conductor below 1, or above CONDUCTOR_CAP before its field is built
+    (("verify", "hopf", "{DIM 36:CONDUCTOR 0}"), {}, EXIT_PARSE),
+    (("build", "bicrossed", "s4", "--g-gens", "(1 2 3);(1 2)", "--gamma-gens", "(1 2 3 4)",
+      "--conductor", "0"), {}, EXIT_PARSE),
+    (("build", "bicrossed", "s4", "--g-gens", "(1 2 3);(1 2)", "--gamma-gens", "(1 2 3 4)",
+      "--conductor", "-3"), {}, EXIT_PARSE),
+    (("verify", "hopf", "{DIM 36:CONDUCTOR 30030}"), {}, EXIT_CAP),
+    (("build", "bicrossed", "s4", "--g-gens", "(1 2 3);(1 2)", "--gamma-gens", "(1 2 3 4)",
+      "--conductor", "10080"), {}, EXIT_CAP),
 ]
 
 
 def _bad_dump(arg: str, tmp_path) -> str:
-    """'{SECTION:line}' names a D(S3) dump with the first line of SECTION
-    replaced by line; any other argument is returned as it is."""
+    """'{LINE:line}' names a D(S3) dump with the line after LINE replaced by
+    line: the first line of a section, or CONDUCTOR after 'DIM 36'; any
+    other argument is returned as it is."""
     if not arg.startswith("{"):
         return arg
     section, _, line = arg[1:-1].partition(":")

@@ -38,9 +38,9 @@ def _tensor_mul(H, t1, t2):
             c = c1 * c2
             if c.is_zero():
                 continue
-            for m1, d1 in mult[a1][a2]:
+            for m1, d1 in mult[a1].get(a2, {}).items():
                 cd = c * d1
-                for m2, d2 in mult[b1][b2]:
+                for m2, d2 in mult[b1].get(b2, {}).items():
                     key = (m1, m2)
                     val = cd * d2
                     if key in out:
@@ -176,7 +176,7 @@ CASES = (
 
 
 def _corrupted(H, rng):
-    """Copies of H with one retargeted mult cell, one retargeted comult term
+    """Copies of H with one retargeted product term, one retargeted comult term
     and one antipode column given a second entry with a doubled coefficient,
     so that the verifier's general path runs on multi-term columns and
     coefficients outside the roots of unity."""
@@ -186,10 +186,12 @@ def _corrupted(H, rng):
         return HopfAlgebra(H.field, H.basis_labels, mult or H.mult, H.unit,
                            comult or H.comult, H.counit, antipode or H.antipode)
 
-    i, j = rng.choice([(i, j) for i in range(dim) for j in range(dim) if H.mult[i][j]])
-    (k, c), *rest = H.mult[i][j]
-    mult = [list(row) for row in H.mult]
-    mult[i][j] = ((k + 1) % dim, c), *rest
+    i, j = rng.choice([(i, j) for i, row in enumerate(H.mult) for j in row])
+    (k, c), *rest = H.mult[i][j].items()
+    cell = dict(rest)
+    add_term(cell, (k + 1) % dim, c)
+    mult = list(H.mult)
+    mult[i] = {**H.mult[i], j: cell}
     i = rng.randrange(dim)
     (a, b, c), *rest = H.comult[i]
     comult = list(H.comult)
@@ -216,7 +218,7 @@ def test_full_report_matches_oracle_and_counts_where_it_stopped():
     # associativity, and `checked` says how far it got
     D = drinfeld_double(symmetric(3))
     one = D.field.one
-    mult = tuple(tuple(((0, one),) if cell else cell for cell in row) for row in D.mult)
+    mult = [{j: {0: one} for j in row} for row in D.mult]
     bad = HopfAlgebra(D.field, D.basis_labels, mult, D.unit, D.comult, D.counit, D.antipode)
     report = verify_hopf_axioms(bad)
     assert report.violations == oracle_violations(bad)
