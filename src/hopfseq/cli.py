@@ -204,10 +204,11 @@ def _build_algebra(args):
     if kind in ("group", "dual", "double"):
         G = _resolve_group(args.target, args.cap_order)
         # kG, k^G and D(G) are the bicrossed products over (G, 1), (1, G)
-        # and (G, G); refuse one too large to verify before building it
+        # and (G, G), built over Q; refuse one too large to verify before
+        # building it
         g, gamma = {"group": (G.order, 1), "dual": (1, G.order),
                     "double": (G.order, G.order)}[kind]
-        check_work(bicrossed_work(g, gamma), g * gamma)
+        check_work(bicrossed_work(g, gamma), g * gamma, 1)
         build = {"group": group_algebra, "dual": dual_group_algebra,
                  "double": drinfeld_double}[kind]
         return build(G)
@@ -222,7 +223,8 @@ def _build_algebra(args):
             Gamma = E.subgroup(hg)
         except (PermParseError, GroupError) as exc:
             raise CliError(str(exc), EXIT_PARSE)
-        check_work(bicrossed_work(G.order, Gamma.order), G.order * Gamma.order)
+        check_work(bicrossed_work(G.order, Gamma.order), G.order * Gamma.order,
+                   args.conductor)
         mp = from_factorization(E, G, Gamma)
         return bicrossed_product(mp, trivial_paired_cocycles(G, Gamma, args.conductor),
                                  conductor=args.conductor)
@@ -249,8 +251,8 @@ def cmd_verify(args, out) -> int:
         try:
             text = path.read_text()
             lines = text.splitlines()
-            dim, _, start = read_hopf_header(lines)
-            check_work(dump_work(lines, dim, start), dim)
+            dim, conductor, start = read_hopf_header(lines)
+            check_work(dump_work(lines, dim, start), dim, conductor)
             H = load_hopf(text)
         except OSError as exc:
             raise CliError(str(exc), EXIT_PARSE)

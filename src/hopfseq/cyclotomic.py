@@ -4,15 +4,33 @@ Scalars are rational coordinate vectors over the power basis
 1, zeta, ..., zeta^(phi(N)-1), reduced modulo the N-th cyclotomic
 polynomial.  No floating point anywhere; equality is coordinate-wise.
 Conductor 1 is plain Q and stays cheap (single coordinate).
+
+A coordinate is a machine int unless a division made it fractional: the
+field's zero, one and roots of unity are ints, so are the integral
+coordinates that scalar, from_rational and inverse return, and sums and
+products of ints stay ints.  A Fraction stays one through later sums and
+products.  An int and the Fraction of the same value are equal and hash
+the same, so scalars compare and hash the same whichever type a coordinate
+has.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, neg, sub
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
+
+
+def _rational(q) -> int | Fraction:
+    """q exactly, as an int when it is integral and a Fraction otherwise."""
+    if type(q) is not int:
+        q = Fraction(q)
+        if q.denominator == 1:
+            return q.numerator
+    return q
 
 
 def _poly_trim(c: list) -> list:
@@ -64,7 +82,7 @@ class CycField:
         """The element with these coordinates; 0 and 1 come back as the
         field's own ``zero`` and ``one`` objects, which callers may match by
         identity."""
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(_rational(c) for c in coords)
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
         for canonical in (self.zero, self.one):
@@ -73,7 +91,7 @@ class CycField:
         return CycScalar(self, coords)
 
     def from_rational(self, q) -> "CycScalar":
-        return CycScalar(self, (Fraction(q),) + (_ZERO,) * (self.degree - 1))
+        return self.scalar((q,) + (_ZERO,) * (self.degree - 1))
 
     def zeta(self, power: int = 1) -> "CycScalar":
         """zeta_N^power as a field element."""
@@ -87,7 +105,7 @@ class CycField:
         self._zeta_cache[k] = val
         return val
 
-    def _reduce(self, coords: list[Fraction]) -> tuple[Fraction, ...]:
+    def _reduce(self, coords: list) -> tuple:
         """Reduce a coefficient list modulo the (monic) cyclotomic modulus."""
         d = self.degree
         if len(coords) <= d:
@@ -114,7 +132,7 @@ class CycScalar:
 
     __slots__ = ("field", "coords")
 
-    def __init__(self, field: CycField, coords: tuple[Fraction, ...]):
+    def __init__(self, field: CycField, coords: tuple):
         self.field = field
         self.coords = coords
 
@@ -128,46 +146,62 @@ class CycScalar:
         if self.field.conductor != other.field.conductor:
             raise ValueError("scalars from different cyclotomic fields")
 
+    # Fields come from the get_field cache, so the arithmetic below compares
+    # fields by identity first and calls _check only when they differ.
+
     def __add__(self, other: "CycScalar") -> "CycScalar":
-        self._check(other)
-        return CycScalar(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        f = self.field
+        if f is not other.field:
+            self._check(other)
+        if f.degree == 1:
+            return CycScalar(f, (self.coords[0] + other.coords[0],))
+        return CycScalar(f, tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
-        self._check(other)
-        return CycScalar(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        f = self.field
+        if f is not other.field:
+            self._check(other)
+        if f.degree == 1:
+            return CycScalar(f, (self.coords[0] - other.coords[0],))
+        return CycScalar(f, tuple(map(sub, self.coords, other.coords)))
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.field, tuple(-a for a in self.coords))
+        if self.field.degree == 1:
+            return CycScalar(self.field, (-self.coords[0],))
+        return CycScalar(self.field, tuple(map(neg, self.coords)))
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
-        self._check(other)
-        if other is self.field.one:
+        f = self.field
+        if f is not other.field:
+            self._check(other)
+        if other is f.one:
             return self
-        if self is self.field.one:
+        if self is f.one:
             return other
         a, b = self.coords, other.coords
-        d = self.field.degree
+        d = f.degree
         if d == 1:
-            return CycScalar(self.field, (a[0] * b[0],))
+            return CycScalar(f, (a[0] * b[0],))
         prod = [_ZERO] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for k, bj in enumerate(b, i):
                     if bj:
-                        prod[i + j] += ai * bj
-        return CycScalar(self.field, self.field._reduce(prod))
+                        prod[k] += ai * bj
+        return CycScalar(f, f._reduce(prod))
 
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         if self is self.field.one:  # rows scaled by it keep their own scalars
             return self
+        # on Fraction copies, so that no division can give a float
         d = self.field.degree
         if d == 1:
-            return CycScalar(self.field, (1 / self.coords[0],))
+            return self.field.scalar((1 / Fraction(self.coords[0]),))
         # extended Euclid in Q[x] against the cyclotomic modulus
         a = _poly_trim([Fraction(c) for c in self.field.modulus])
-        b = _poly_trim(list(self.coords))
+        b = _poly_trim([Fraction(c) for c in self.coords])
         s_a, s_b = [], [Fraction(1)]
         while b:
             q, r = _poly_divmod(a, b)
@@ -177,7 +211,7 @@ class CycScalar:
         assert len(a) == 1
         inv_gcd = 1 / a[0]
         coeffs = [c * inv_gcd for c in s_a]
-        return CycScalar(self.field, self.field._reduce(coeffs))
+        return self.field.scalar(self.field._reduce(coeffs))
 
     def __truediv__(self, other: "CycScalar") -> "CycScalar":
         return self * other.inverse()
@@ -222,7 +256,7 @@ def _poly_divmod(num: list, den: list) -> tuple[list, list]:
     return q, _poly_trim(num)
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
     out = [_ZERO] * (len(a) + len(b) - 1)
@@ -233,7 +267,7 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return _poly_trim(out)
 
 
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
     return _poly_trim(out)

@@ -263,15 +263,20 @@ def augmentation_basis(H: HopfAlgebra) -> list[Vec]:
 
 
 def two_sided_ideal(H: HopfAlgebra, gens) -> Echelon:
-    """Echelon span of H . gens . H."""
+    """Echelon span of H . gens . H, closed by a worklist: each vector that
+    enlarged the span is multiplied by every basis element on the left and
+    on the right, until nothing new comes or the span is all of H.  The
+    vectors that enlarged it span it, so the span is closed under both
+    multiplications, and it holds gens = 1 . gens . 1."""
     ech = Echelon(H.field)
-    for g in gens:
-        for i in range(H.dim):
-            left = H.mul_vec(H.basis_vec(i), g)
-            if not left:
-                continue
-            for j in range(H.dim):
-                ech.add(H.mul_vec(left, H.basis_vec(j)))
+    todo = [g for g in gens if ech.add(g)]
+    basis = [H.basis_vec(i) for i in range(H.dim)]
+    while todo and ech.rank < H.dim:
+        v = todo.pop()
+        for b in basis:
+            for w in (H.mul_vec(b, v), H.mul_vec(v, b)):
+                if w and ech.rank < H.dim and ech.add(w):
+                    todo.append(w)
     return ech
 
 

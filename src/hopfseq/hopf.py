@@ -23,7 +23,7 @@ from itertools import chain
 
 from .cocycles import PairedCocycles, trivial_paired_cocycles
 from .cyclotomic import CycField, CycScalar, get_field
-from .groups import PermGroup
+from .groups import PermGroup, prime_factors
 from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system, transpose
 from .matched import MatchedPair, drinfeld_pair
 from .perm import compose, cycle_string, inverse
@@ -406,10 +406,17 @@ def bicrossed_work(g: int, gamma: int) -> int:
     return verify_work(dim, dim * g, g, dim * gamma, gamma, gamma)
 
 
-def check_work(work: int, dim: int) -> None:
-    """Refuse an algebra whose verification work is above HOPF_WORK_CAP."""
-    if work > HOPF_WORK_CAP:
-        raise HopfError(f"dimension {dim}: verification work {work} exceeds cap "
+def check_work(work: int, dim: int, conductor: int) -> None:
+    """Refuse an algebra over Q(zeta_N), N = conductor, whose verification
+    work is above HOPF_WORK_CAP.  A scalar there has phi(N) coordinates and
+    one product of dense scalars costs about phi(N)**2 coordinate products,
+    so the work counts phi(N)**2 for each unit; at N = 1 it is the unit."""
+    phi = conductor
+    for p in prime_factors(conductor):
+        phi = phi // p * (p - 1)
+    if work * phi ** 2 > HOPF_WORK_CAP:
+        weight = f" x phi({conductor})^2 = {work * phi ** 2}" if phi > 1 else ""
+        raise HopfError(f"dimension {dim}: verification work {work}{weight} exceeds cap "
                         f"{HOPF_WORK_CAP}")
 
 
@@ -541,12 +548,13 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     """
     G, Gamma = mp.G, mp.Gamma
     dim = G.order * Gamma.order
-    check_work(bicrossed_work(G.order, Gamma.order), dim)
+    conductor = conductor or (1 if cocycles is None else cocycles.conductor)
+    check_work(bicrossed_work(G.order, Gamma.order), dim, conductor)
     if cocycles is None:
-        cocycles = trivial_paired_cocycles(G, Gamma, conductor or 1)
+        cocycles = trivial_paired_cocycles(G, Gamma, conductor)
     if not cocycles.normalized(G, Gamma):
         raise HopfError("cocycle pair is not normalized")
-    field = get_field(conductor or cocycles.conductor)
+    field = get_field(conductor)
     one, zeta = field.one, field.zeta  # zeta(0) is one itself
     origin = BicrossedOrigin(mp, cocycles)
     basis, pos = origin.basis(), origin.position
@@ -586,7 +594,7 @@ def drinfeld_double(G: PermGroup) -> HopfAlgebra:
     """D(G): the bicrossed product over (G, G), adjoint <| and trivial |>.
 
     The cap is checked before the pair's |G|^2 action entries are built."""
-    check_work(bicrossed_work(G.order, G.order), G.order ** 2)
+    check_work(bicrossed_work(G.order, G.order), G.order ** 2, 1)
     return bicrossed_product(drinfeld_pair(G))
 
 

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, main
+from hopfseq.cyclotomic import get_field
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from hopfseq import drinfeld_double, group_algebra, hopf, symmetric
 from hopfseq.groups import alternating
@@ -162,18 +163,41 @@ BAD_INPUTS = [
     (("verify", "hopf", "{DIM 36:CONDUCTOR 30030}"), {}, EXIT_CAP),
     (("build", "bicrossed", "s4", "--g-gens", "(1 2 3);(1 2)", "--gamma-gens", "(1 2 3 4)",
       "--conductor", "10080"), {}, EXIT_CAP),
+    # work 20,736 under the cap, but phi(1000)**2 = 160,000 coordinate
+    # products in each product of its dense scalars
+    (("verify", "hopf", "{DENSE:1000}"), {}, EXIT_CAP),
 ]
+
+
+def _dense_dump(lines: list[str], conductor: int, degree: int) -> list[str]:
+    """The dump moved to this conductor, every coefficient written as
+    ``degree`` ones: a valid dump whose every scalar is dense."""
+    ones = " ".join(["1"] * degree)
+    out, in_body = [], False
+    for ln in lines:
+        if ln.startswith("CONDUCTOR "):
+            ln = f"CONDUCTOR {conductor}"
+        elif ln in ("MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE"):
+            in_body = True
+        elif in_body and ln != "END":
+            ln = ln.rsplit(":", 1)[0] + ": " + ones
+        out.append(ln)
+    return out
 
 
 def _bad_dump(arg: str, tmp_path) -> str:
     """'{LINE:line}' names a D(S3) dump with the line after LINE replaced by
-    line: the first line of a section, or CONDUCTOR after 'DIM 36'; any
-    other argument is returned as it is."""
+    line: the first line of a section, or CONDUCTOR after 'DIM 36';
+    '{DENSE:N}' names it moved to conductor N with dense scalars, see
+    _dense_dump.  Any other argument is returned as it is."""
     if not arg.startswith("{"):
         return arg
     section, _, line = arg[1:-1].partition(":")
     lines = dump_hopf(drinfeld_double(symmetric(3))).splitlines()
-    lines[lines.index(section) + 1] = line
+    if section == "DENSE":
+        lines = _dense_dump(lines, int(line), get_field(int(line)).degree)
+    else:
+        lines[lines.index(section) + 1] = line
     path = tmp_path / "bad.hopf"
     path.write_text("\n".join(lines) + "\n")
     return str(path)

@@ -1,3 +1,5 @@
+import pytest
+
 from hopfseq import (
     DualGroupAlgebraRef,
     GroupAlgebraRef,
@@ -28,13 +30,15 @@ from hopfseq import (
 )
 from hopfseq.exact import (
     ExactSequenceH,
+    augmentation_basis,
     counit_morphism,
     identity_morphism,
     identify_dual_form,
     identify_group_form,
+    two_sided_ideal,
 )
 from hopfseq.groups import alternating, is_normal, iso_label
-from hopfseq.linalg import subspace_equal
+from hopfseq.linalg import Echelon, subspace_equal
 from hopfseq.perm import parse_cycles
 
 
@@ -139,6 +143,43 @@ def test_hopf_cokernel_examples(double_s3):
     assert Q3.dim == 6
     Gq = identify_group_form(Q3)
     assert Gq is not None and iso_label(Gq) == "S3"
+
+
+def _all_pairs_ideal(H, gens):
+    """H . gens . H as the span of every e_i g e_j: the closure's oracle."""
+    ech = Echelon(H.field)
+    for g in gens:
+        for i in range(H.dim):
+            left = H.mul_vec(H.basis_vec(i), g)
+            for j in range(H.dim):
+                ech.add(H.mul_vec(left, H.basis_vec(j)))
+    return ech
+
+
+def _ideal_case(name):
+    """(H, generators) of H . i(H'+) . H for three exact sequences, and
+    (1 2) - 1 in kS3, whose subgroup <(1 2)> is not normal."""
+    if name == "kS4>kV4":
+        s4 = symmetric(4)
+        v4 = s4.subgroup([parse_cycles(c, 4) for c in ("(1 2)(3 4)", "(1 3)(2 4)")])
+        seq = make_group_quotient_sequence(s4, v4)
+    elif name == "kS3>kZ2":
+        s3 = symmetric(3)
+        H = group_algebra(s3)
+        one, idx = H.field.one, s3.element_index()
+        return H, [{idx[parse_cycles("(1 2)", 3)]: one, idx[s3.identity()]: -one}]
+    else:
+        G = {"D(S3)": symmetric(3), "D(Q8)": quaternion8()}[name]
+        seq = make_abelian_sequence(drinfeld_double(G))
+    return seq.h, [seq.i.apply(v) for v in augmentation_basis(seq.h_prime)]
+
+
+@pytest.mark.parametrize("name", ["kS4>kV4", "D(S3)", "D(Q8)", "kS3>kZ2"])
+def test_two_sided_ideal_matches_all_pairs_span(name):
+    H, gens = _ideal_case(name)
+    got = two_sided_ideal(H, gens)
+    assert got.canonical() == _all_pairs_ideal(H, gens).canonical()
+    assert 0 < got.rank <= H.dim
 
 
 def test_verify_exact_sequence_double(double_s3):

@@ -26,6 +26,7 @@ from hopfseq.hopf import (
     antipode_invertible,
     antipode_is_antihomomorphism,
     bicrossed_work,
+    check_work,
 )
 from hopfseq.io_formats import dump_hopf, dump_work, load_hopf, read_hopf_header
 from hopfseq.perm import inverse
@@ -235,6 +236,22 @@ def test_work_cap_accepts_every_old_size_and_d_s4():
     assert bicrossed_work(24, 24) <= HOPF_WORK_CAP        # D(S4)
     for g, gamma in ((576, 1), (1, 576), (27, 27), (60, 60)):
         assert bicrossed_work(g, gamma) > HOPF_WORK_CAP
+
+
+def test_work_cap_weights_the_conductor():
+    # one product of dense scalars over Q(zeta_N) is about phi(N)**2
+    # coordinate products; at N = 1 the work is not weighted
+    d_s4 = bicrossed_work(24, 24)
+    check_work(d_s4, 576, 1)
+    for conductor, phi in ((3, 2), (4, 2), (6, 2), (5, 4), (12, 4)):
+        with pytest.raises(HopfError, match=rf" x phi\({conductor}\)\^2 = {d_s4 * phi ** 2} "):
+            check_work(d_s4, 576, conductor)
+        # the benchmark's S3.C4 product and every D(S3) dump stay accepted
+        check_work(bicrossed_work(6, 4), 24, conductor)
+        check_work(bicrossed_work(6, 6), 36, conductor)
+    check_work(bicrossed_work(20, 20), 400, 3)           # 4 x 7.0 M
+    with pytest.raises(HopfError):
+        check_work(bicrossed_work(6, 6), 36, 1000)       # 160,000 x 20,736
 
 
 def test_drinfeld_double_dim_cap():
