@@ -426,7 +426,7 @@ def _exit_code(exc: Exception) -> int:
     if isinstance(exc, CapExceeded):
         return EXIT_CAP
     if isinstance(exc, HopfError):
-        return EXIT_CAP if "cap" in str(exc) else EXIT_VERIFY
+        return EXIT_VERIFY
     return EXIT_PARSE
 
 

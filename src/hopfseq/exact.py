@@ -46,7 +46,6 @@ from .linalg import (
     transpose,
 )
 from .matched import MatchedPair, verify_compatibility
-from .perm import Perm
 
 
 class ExactnessError(ValueError):
@@ -115,11 +114,6 @@ class HopfMorphism:
                 bad.append(("comultiplicative", i))
         return bad
 
-    def transpose(self) -> "HopfMorphism":
-        """The dual morphism target* -> source*."""
-        return HopfMorphism(dual_hopf(self.target), dual_hopf(self.source),
-                            transpose(self.cols, self.target.dim))
-
 
 def identity_morphism(H: HopfAlgebra) -> HopfMorphism:
     return HopfMorphism(H, H, [H.basis_vec(i) for i in range(H.dim)])
@@ -180,32 +174,76 @@ class HopfSubalgebra:
         return len(self.basis)
 
     def verify(self) -> list[tuple]:
-        """Closure violations: mult, unit, comult (into K (x) K), antipode."""
-        H = self.ambient
-        field = H.field
-        bad: list[tuple] = []
-        ech = echelon_span(self.basis, field)
-        if not ech.contains(H.unit):
-            bad.append(("unit",))
-        for a_i, a in enumerate(self.basis):
-            for b_i, b in enumerate(self.basis):
-                if not ech.contains(H.mul_vec(a, b)):
-                    bad.append(("mult", a_i, b_i))
-        tens = Echelon(field)
-        for a in self.basis:
-            for b in self.basis:
-                tens.add({(i, j): ca * cb for i, ca in a.items() for j, cb in b.items()})
-        for a_i, a in enumerate(self.basis):
-            if not tens.contains(H.comult_vec(a)):
-                bad.append(("comult", a_i))
-            if not ech.contains(H.antipode_vec(a)):
-                bad.append(("antipode", a_i))
-        return bad
+        """Closure violations: unit, mult, then comult (into K (x) K) and
+        antipode for each basis vector."""
+        return _closure(self)[1]
 
 
 def span_subalgebra(H: HopfAlgebra, vectors, note: str = "") -> HopfSubalgebra:
     ech = echelon_span(vectors, H.field)
     return HopfSubalgebra(ambient=H, basis=ech.basis(), note=note)
+
+
+def _transported(H: HopfAlgebra, lift, coords, tensor_coords, labels):
+    """The algebra carried by the vectors ``lift`` of H: H's unit, products,
+    coproducts, counit and antipode on ``lift``, read back over ``lift`` by
+    ``coords`` (a vector of H) and ``tensor_coords`` (a tensor of H (x) H).
+
+    Returns it with the places where a reader gave None, in the order
+    HopfSubalgebra.verify lists them; their entries are left empty.
+    """
+    outside: list[tuple] = []
+
+    def read(reader, v, *where):
+        out = reader(v)
+        if out is None:
+            outside.append(where)
+        return out or {}
+
+    unit = read(coords, H.unit, "unit")
+    mult = [{b: read(coords, H.mul_vec(x, y), "mult", a, b) for b, y in enumerate(lift)}
+            for a, x in enumerate(lift)]
+    comult, antipode = [], []
+    for a, x in enumerate(lift):
+        t = read(tensor_coords, H.comult_vec(x), "comult", a)
+        comult.append(tuple((i, j, c) for (i, j), c in sorted(t.items())))
+        antipode.append(read(coords, H.antipode_vec(x), "antipode", a))
+    counit = [H.counit_vec(x) for x in lift]
+    return HopfAlgebra(H.field, labels, mult, unit, comult, counit, antipode), outside
+
+
+def _closure(K: HopfSubalgebra) -> tuple[HopfAlgebra, list[tuple]]:
+    """The algebra K is in its own basis (complete only without violations)
+    and K's closure violations, from one pass that reads H's structure on
+    K's basis in coordinates over K and over K (x) K."""
+    H, basis = K.ambient, K.basis
+    span, tens = Echelon(H.field), Echelon(H.field)
+    for a, x in enumerate(basis):
+        span.add(x, tag=a)
+        for b, y in enumerate(basis):
+            tens.add({(i, j): ci * cj for i, ci in x.items() for j, cj in y.items()}, tag=(a, b))
+    return _transported(H, basis, span.coords, tens.coords, [f"b{a}" for a in range(len(basis))])
+
+
+def standalone_subalgebra(K: HopfSubalgebra) -> HopfAlgebra:
+    """Structure constants of K in its own echelon basis."""
+    alg, bad = _closure(K)
+    if bad:
+        raise ExactnessError(f"not a Hopf subalgebra: {bad[:3]}")
+    return alg
+
+
+def _basis_products(table, v: Vec) -> dict:
+    """{i: sum_x v_x table[x][i]} without its zero entries: the products
+    v e_i from the rows table = H.mult, or e_i v from the columns
+    table = transpose(H.mult, H.dim)."""
+    out: dict = {}
+    for x, a in v.items():
+        for i, cell in table[x].items():
+            w = out.setdefault(i, {})
+            for k, c in cell.items():
+                add_term(w, k, a * c)
+    return {i: w for i, w in out.items() if w}
 
 
 def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
@@ -217,13 +255,15 @@ def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
     """
     H = K.ambient
     ech = echelon_span(K.basis, H.field)
+    cols = transpose(H.mult, H.dim)
+    lefts = [_basis_products(cols, a) for a in K.basis]   # lefts[a_i][j] = e_j a
     for i in range(H.dim):
         hi_terms = H.comult[i]
         for a_i, a in enumerate(K.basis):
             left: Vec = {}
             right: Vec = {}
             for j, k, c in hi_terms:
-                for m, d in H.mul_vec(H.mul_vec(H.basis_vec(j), a), H.antipode[k]).items():
+                for m, d in H.mul_vec(lefts[a_i].get(j, {}), H.antipode[k]).items():
                     add_term(left, m, c * d)
                 for m, d in H.mul_vec(H.mul_vec(H.antipode[j], a), H.basis_vec(k)).items():
                     add_term(right, m, c * d)
@@ -267,17 +307,24 @@ def two_sided_ideal(H: HopfAlgebra, gens) -> Echelon:
     enlarged the span is multiplied by every basis element on the left and
     on the right, until nothing new comes or the span is all of H.  The
     vectors that enlarged it span it, so the span is closed under both
-    multiplications, and it holds gens = 1 . gens . 1."""
+    multiplications, and it holds gens = 1 . gens . 1.  Only the nonzero
+    products are formed: from the rows and columns of the vector's support."""
     ech = Echelon(H.field)
     todo = [g for g in gens if ech.add(g)]
-    basis = [H.basis_vec(i) for i in range(H.dim)]
+    cols = transpose(H.mult, H.dim)
     while todo and ech.rank < H.dim:
         v = todo.pop()
-        for b in basis:
-            for w in (H.mul_vec(b, v), H.mul_vec(v, b)):
+        left, right = _basis_products(cols, v), _basis_products(H.mult, v)
+        for i in sorted(left.keys() | right.keys()):
+            for w in (left.get(i), right.get(i)):
                 if w and ech.rank < H.dim and ech.add(w):
                     todo.append(w)
     return ech
+
+
+def _generated_ideal(f: HopfMorphism) -> Echelon:
+    """The ideal H2 f(H1+) H2 of H2, for f: H1 -> H2."""
+    return two_sided_ideal(f.target, [f.apply(v) for v in augmentation_basis(f.source)])
 
 
 def hopf_cokernel(f: HopfMorphism) -> tuple[HopfAlgebra, HopfMorphism]:
@@ -288,12 +335,8 @@ def hopf_cokernel(f: HopfMorphism) -> tuple[HopfAlgebra, HopfMorphism]:
     stable) before the quotient is assembled.
     """
     H2 = f.target
-    field = H2.field
-    gens = [f.apply(v) for v in augmentation_basis(f.source)]
-    ideal = two_sided_ideal(H2, gens)
-    pivots = set(ideal.rows)
-    complement = [i for i in range(H2.dim) if i not in pivots]
-    qdim = len(complement)
+    ideal = _generated_ideal(f)
+    complement = [i for i in range(H2.dim) if i not in ideal.rows]
     pos = {m: a for a, m in enumerate(complement)}
 
     def project(v: Vec) -> Vec:
@@ -320,18 +363,9 @@ def hopf_cokernel(f: HopfMorphism) -> tuple[HopfAlgebra, HopfMorphism]:
         if fold(H2.comult_vec(b)):
             raise ExactnessError("ideal is not a coideal")
 
-    lift = [H2.basis_vec(complement[a]) for a in range(qdim)]
-    mult = [{b: v for b in range(qdim) if (v := project(H2.mul_vec(lift[a], lift[b])))}
-            for a in range(qdim)]
-    unit = project(H2.unit)
-    comult = [tuple((x, y, c) for (x, y), c in sorted(fold(H2.comult_vec(lift[a])).items()))
-              for a in range(qdim)]
-    counit = tuple(H2.counit[complement[a]] for a in range(qdim))
-    antipode = tuple(project(H2.antipode_vec(lift[a])) for a in range(qdim))
-    labels = [f"[{H2.basis_labels[m]}]" for m in complement]
-    Q = HopfAlgebra(field, labels, mult, unit, comult, counit, antipode)
-    proj = HopfMorphism(H2, Q, qproj)
-    return Q, proj
+    Q, _ = _transported(H2, [H2.basis_vec(m) for m in complement], project, fold,
+                        [f"[{H2.basis_labels[m]}]" for m in complement])
+    return Q, HopfMorphism(H2, Q, qproj)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +397,7 @@ def verify_exact_sequence(seq: ExactSequenceH) -> dict:
     status["surjective"] = seq.pi.is_surjective()
 
     ker_pi = nullspace_of_map(list(seq.pi.cols), H.field)
-    gens = [seq.i.apply(v) for v in augmentation_basis(Hp)]
-    ideal = two_sided_ideal(H, gens)
+    ideal = _generated_ideal(seq.i)
     status["kernel_is_ideal"] = subspace_equal(ker_pi, ideal.basis(), H.field)
 
     coin = coinvariants(seq.pi, side="left")
@@ -385,10 +418,10 @@ def verify_exact_sequence(seq: ExactSequenceH) -> dict:
 
 def dualize_sequence(seq: ExactSequenceH) -> ExactSequenceH:
     """k -> (H'')* -> H* -> (H')* -> k with transposed maps."""
-    pi_t = seq.pi.transpose()    # (H'')* -> H*
-    i_t = seq.i.transpose()      # H* -> (H')*
-    return ExactSequenceH(
-        h_prime=pi_t.source, i=pi_t, h=pi_t.target, pi=i_t, h_doubleprime=i_t.target)
+    Hd, Hpd, Hppd = dual_hopf(seq.h), dual_hopf(seq.h_prime), dual_hopf(seq.h_doubleprime)
+    i_t = HopfMorphism(Hppd, Hd, transpose(seq.pi.cols, Hppd.dim))
+    pi_t = HopfMorphism(Hd, Hpd, transpose(seq.i.cols, Hd.dim))
+    return ExactSequenceH(h_prime=Hppd, i=i_t, h=Hd, pi=pi_t, h_doubleprime=Hpd)
 
 
 def make_abelian_sequence(H: HopfAlgebra) -> ExactSequenceH:
@@ -471,37 +504,6 @@ def jh_compare(s1: HopfCompSeries, s2: HopfCompSeries) -> bool:
     return s1.multiset() == s2.multiset()
 
 
-def standalone_subalgebra(K: HopfSubalgebra) -> HopfAlgebra:
-    """Structure constants of K in its own echelon basis."""
-    H = K.ambient
-    field = H.field
-    basis = K.basis
-    k = len(basis)
-    span, tens = Echelon(field), Echelon(field)
-    for a in range(k):
-        span.add(basis[a], tag=a)
-        for b in range(k):
-            w = {(i, j): ca * cb for i, ca in basis[a].items() for j, cb in basis[b].items()}
-            tens.add(w, tag=(a, b))
-
-    def coords(v: Vec, ech: Echelon = span) -> Vec:
-        out = ech.coords(v)
-        if out is None:
-            raise ExactnessError("vector does not lie in the subalgebra" if ech is span
-                                 else "comultiplication does not close in K (x) K")
-        return out
-
-    mult = [{b: v for b in range(k) if (v := coords(H.mul_vec(basis[a], basis[b])))}
-            for a in range(k)]
-    unit = coords(H.unit)
-    comult = tuple(tuple((a, b, c) for (a, b), c in sorted(coords(H.comult_vec(basis[i]), tens).items()))
-                   for i in range(k))
-    counit = tuple(H.counit_vec(basis[i]) for i in range(k))
-    antipode = tuple(coords(H.antipode_vec(basis[i])) for i in range(k))
-    labels = [f"b{a}" for a in range(k)]
-    return HopfAlgebra(field, labels, mult, unit, comult, counit, antipode)
-
-
 # ---------------------------------------------------------------------------
 # normal-subalgebra catalog
 
@@ -511,6 +513,7 @@ class NormalCandidate:
     sub: HopfSubalgebra
     note: str
     quotient_factory: object = None   # () -> (HopfAlgebra, proj cols) or None
+    algebra: HopfAlgebra | None = None  # sub in its own basis, once verified
 
     def canonical(self) -> tuple:
         return tuple(tuple(sorted(v.items())) for v in self.sub.basis)
@@ -518,6 +521,16 @@ class NormalCandidate:
 
 # In the group and dual forms, basis vector i of H stands for perms[i], an
 # element of Gq.
+
+
+def _coset_indicators(G: PermGroup, N: PermGroup, placed, one) -> list[Vec]:
+    """The indicator vectors of the cosets of N in G, where ``placed`` gives
+    each element g of G with its basis index i, as pairs (i, g)."""
+    _, proj = quotient_group(G, N)
+    cosets: dict = {}
+    for i, g in placed:
+        cosets.setdefault(proj[g], {})[i] = one
+    return list(cosets.values())
 
 
 def _candidates_group_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[NormalCandidate]:
@@ -548,11 +561,7 @@ def _candidates_dual_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[No
         if N.order in (1, Gq.order):
             continue
         # coset indicator functions span k^(Gamma/N)
-        _, proj = quotient_group(Gq, N)
-        cosets: dict[Perm, list[int]] = {}
-        for i, p in enumerate(perms):
-            cosets.setdefault(proj[p], []).append(i)
-        vectors = [{i: one for i in block} for block in cosets.values()]
+        vectors = _coset_indicators(Gq, N, enumerate(perms), one)
 
         def factory(Ngrp=N):
             template = dual_group_algebra(Ngrp, conductor=H.field.conductor)
@@ -625,13 +634,8 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
     for N in normal_subgroups(Gamma):
         if N.order == Gamma.order:
             continue
-        _, proj = quotient_group(Gamma, N)
-        cosets: dict[Perm, list[Perm]] = {}
-        for g in Gamma.elements:
-            cosets.setdefault(proj[g], []).append(g)
-        vectors = [{origin.position(g, eG): one for g in block} for block in cosets.values()]
-        if len(vectors) == 1:
-            continue
+        placed = ((origin.position(g, eG), g) for g in Gamma.elements)
+        vectors = _coset_indicators(Gamma, N, placed, one)
 
         def factory(Ngrp=N):
             if Ngrp.order == 1:
@@ -679,12 +683,10 @@ def normal_subalgebra_candidates(H: HopfAlgebra) -> list[NormalCandidate]:
     stability check before being returned; ones that fail are dropped.
     """
     raw: list[NormalCandidate] = []
-    Gq_data = _group_form_with_perms(H)
-    if Gq_data is not None:
-        raw += _candidates_group_form(H, *Gq_data)
-    Dq_data = _dual_form_with_perms(H)
-    if Dq_data is not None:
-        raw += _candidates_dual_form(H, *Dq_data)
+    for _, read, candidates in _FORMS:
+        data = read(H)
+        if data is not None:
+            raw += candidates(H, *data)
     raw += _candidates_bicrossed(H)
     out: list[NormalCandidate] = []
     seen = set()
@@ -695,10 +697,8 @@ def normal_subalgebra_candidates(H: HopfAlgebra) -> list[NormalCandidate]:
         if key in seen:
             continue
         seen.add(key)
-        if cand.sub.verify():
-            continue
-        normal, _ = is_normal_subalgebra(cand.sub)
-        if normal:
+        cand.algebra, bad = _closure(cand.sub)
+        if not bad and is_normal_subalgebra(cand.sub)[0]:
             out.append(cand)
     out.sort(key=lambda c: (c.sub.dim, c.canonical()))
     return out
@@ -717,12 +717,7 @@ def _group_form_with_perms(H: HopfAlgebra):
         if len(row) != n or any(list(cell.values()) != [one] for cell in row.values()):
             return None
         table.append(tuple(k for cell in row.values() for k in cell))
-    if any(sorted(p) != list(range(n)) for p in table):
-        return None
-    try:
-        return from_elements(n, table), table
-    except Exception:
-        return None
+    return _table_group(table)
 
 
 def _dual_form_with_perms(H: HopfAlgebra):
@@ -744,13 +739,24 @@ def _dual_form_with_perms(H: HopfAlgebra):
             law[(j, k)] = i
     if len(law) != n * n:
         return None
-    table = [tuple(law[(i, j)] for j in range(n)) for i in range(n)]
+    return _table_group([tuple(law[(i, j)] for j in range(n)) for i in range(n)])
+
+
+def _table_group(table: list):
+    """(the group of the rows of a multiplication table, the rows), or None
+    when a row is not a permutation of the indices or they form no group."""
+    n = len(table)
     if any(sorted(p) != list(range(n)) for p in table):
         return None
     try:
         return from_elements(n, table), table
     except Exception:
         return None
+
+
+# (factor kind, reader, catalog) for the group-algebra and dual forms
+_FORMS = (("group", _group_form_with_perms, _candidates_group_form),
+          ("dual", _dual_form_with_perms, _candidates_dual_form))
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +770,7 @@ def _split_along(H: HopfAlgebra, cand: NormalCandidate):
     kernel equal to the generated ideal); falls back to the generic
     pivot-basis cokernel.
     """
-    sub_alg = standalone_subalgebra(cand.sub)
+    sub_alg = cand.algebra
     inclusion = HopfMorphism(sub_alg, H, list(cand.sub.basis))
     if inclusion.verify():
         raise ExactnessError("internal: subalgebra inclusion is not a Hopf map")
@@ -775,29 +781,21 @@ def _split_along(H: HopfAlgebra, cand: NormalCandidate):
             proj = HopfMorphism(H, template, cols)
             if not proj.verify() and proj.is_surjective():
                 ker = nullspace_of_map(list(proj.cols), H.field)
-                gens = [inclusion.apply(v) for v in augmentation_basis(sub_alg)]
-                ideal = two_sided_ideal(H, gens)
-                if subspace_equal(ker, ideal.basis(), H.field):
+                if subspace_equal(ker, _generated_ideal(inclusion).basis(), H.field):
                     return sub_alg, template, proj
     Q, proj = hopf_cokernel(inclusion)
     return sub_alg, Q, proj
 
 
 def _terminal_factor(H: HopfAlgebra) -> FactorDesc:
-    data = _group_form_with_perms(H)
-    if data is not None:
-        Gq = data[0]
-        if is_simple(Gq):
-            return FactorDesc(kind="group", label=iso_label(Gq), dim=H.dim)
-        raise ExactnessError(
-            f"internal: group algebra of non-simple {iso_label(Gq)} reported no normal subalgebras")
-    data = _dual_form_with_perms(H)
-    if data is not None:
-        Gq = data[0]
-        if is_simple(Gq):
-            return FactorDesc(kind="dual", label=iso_label(Gq), dim=H.dim)
-        raise ExactnessError(
-            f"internal: dual of non-simple {iso_label(Gq)} reported no normal subalgebras")
+    for kind, read, _ in _FORMS:
+        data = read(H)
+        if data is not None:
+            label = iso_label(data[0])
+            if is_simple(data[0]):
+                return FactorDesc(kind=kind, label=label, dim=H.dim)
+            raise ExactnessError(
+                f"internal: {kind} form of non-simple {label} reported no normal subalgebras")
     raise UnsupportedAlgebra(
         f"dim-{H.dim} algebra is outside the catalog: no normal subalgebra found "
         "and no simplicity certificate applies")
@@ -810,9 +808,7 @@ def composition_series_hopf(H, chooser=None) -> HopfCompSeries:
     DualGroupAlgebraRef, BicrossedRef) for algebras too large to expand.
     The chooser, when given, reorders the candidate list at each step.
     """
-    if isinstance(H, GroupAlgebraRef):
-        return symbolic_series(H)
-    if isinstance(H, (DualGroupAlgebraRef, BicrossedRef)):
+    if isinstance(H, (GroupAlgebraRef, DualGroupAlgebraRef, BicrossedRef)):
         return symbolic_series(H)
     if H.dim == 1:
         return HopfCompSeries(factors=[], provenance=[], total_dim=1)
@@ -904,16 +900,11 @@ def symbolic_series(ref) -> HopfCompSeries:
     Rests on the factor description of abelian extensions: group-algebra
     factors from G and dual factors from Gamma.
     """
-    if isinstance(ref, GroupAlgebraRef):
-        G = ref.group
-        factors = [FactorDesc("group", lab, n) for lab, n in composition_factors(G)]
-        return HopfCompSeries(factors=factors, provenance=["symbolic kG"],
-                              total_dim=G.order)
-    if isinstance(ref, DualGroupAlgebraRef):
-        G = ref.group
-        factors = [FactorDesc("dual", lab, n) for lab, n in composition_factors(G)]
-        return HopfCompSeries(factors=factors, provenance=["symbolic k^G"],
-                              total_dim=G.order)
+    if isinstance(ref, (GroupAlgebraRef, DualGroupAlgebraRef)):
+        kind, name = ("group", "kG") if isinstance(ref, GroupAlgebraRef) else ("dual", "k^G")
+        factors = [FactorDesc(kind, lab, n) for lab, n in composition_factors(ref.group)]
+        return HopfCompSeries(factors=factors, provenance=[f"symbolic {name}"],
+                              total_dim=ref.group.order)
     if isinstance(ref, BicrossedRef):
         mp = ref.pair
         dual_part = symbolic_series(DualGroupAlgebraRef(mp.Gamma))

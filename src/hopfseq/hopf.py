@@ -23,7 +23,7 @@ from itertools import chain
 
 from .cocycles import PairedCocycles, trivial_paired_cocycles
 from .cyclotomic import CycField, CycScalar, get_field
-from .groups import PermGroup, prime_factors
+from .groups import CapExceeded, PermGroup, prime_factors
 from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system, transpose
 from .matched import MatchedPair, drinfeld_pair
 from .perm import compose, cycle_string, inverse
@@ -45,6 +45,10 @@ MAX_REPORT = 1_000
 
 class HopfError(ValueError):
     pass
+
+
+class HopfCapExceeded(HopfError, CapExceeded):
+    """A Hopf computation refused by one of its caps."""
 
 
 @dataclass(frozen=True)
@@ -416,14 +420,14 @@ def check_work(work: int, dim: int, conductor: int) -> None:
         phi = phi // p * (p - 1)
     if work * phi ** 2 > HOPF_WORK_CAP:
         weight = f" x phi({conductor})^2 = {work * phi ** 2}" if phi > 1 else ""
-        raise HopfError(f"dimension {dim}: verification work {work}{weight} exceeds cap "
-                        f"{HOPF_WORK_CAP}")
+        raise HopfCapExceeded(f"dimension {dim}: verification work {work}{weight} exceeds "
+                              f"cap {HOPF_WORK_CAP}")
 
 
 def check_conductor(conductor: int) -> None:
     """Refuse a conductor above CONDUCTOR_CAP, before its field is built."""
     if conductor > CONDUCTOR_CAP:
-        raise HopfError(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+        raise HopfCapExceeded(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
 
 
 def antipode_is_antihomomorphism(H: HopfAlgebra) -> bool:
@@ -463,7 +467,7 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
         return candidate
 
     if dim > SOLVE_DIM_CAP:
-        raise HopfError(
+        raise HopfCapExceeded(
             f"no verified closed-form antipode and dim {dim} exceeds the "
             f"general-solve cap {SOLVE_DIM_CAP}")
 

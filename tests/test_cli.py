@@ -3,12 +3,13 @@ import time
 
 import pytest
 
-from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, main
+from hopfseq import cli
+from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from hopfseq.cyclotomic import get_field
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from hopfseq import drinfeld_double, group_algebra, hopf, symmetric
-from hopfseq.groups import alternating
-from hopfseq.hopf import HOPF_WORK_CAP, bicrossed_work
+from hopfseq.groups import CapExceeded, alternating
+from hopfseq.hopf import HOPF_WORK_CAP, HopfError, bicrossed_work, check_conductor, check_work
 
 
 def run_cli(*argv):
@@ -213,6 +214,18 @@ def test_bad_input_gives_one_error_line(monkeypatch, tmp_path, argv, env, code):
     lines = first[1].splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert run_cli(*argv) == first
+
+
+def test_exit_code_follows_the_error_type_not_its_text(monkeypatch):
+    for refuse in (lambda: check_work(HOPF_WORK_CAP + 1, 1, 1), lambda: check_conductor(1001)):
+        with pytest.raises(CapExceeded):
+            refuse()
+
+    def fail(seq):
+        raise HopfError("escaped the capsule")
+
+    monkeypatch.setattr(cli, "verify_exact_sequence", fail)
+    assert run_cli("verify", "sequence", "double:s3") == (EXIT_VERIFY, "error: escaped the capsule\n")
 
 
 def test_cap_order_applies_to_group_files(tmp_path, monkeypatch):

@@ -29,6 +29,7 @@ from hopfseq import (
     verify_exact_sequence,
 )
 from hopfseq.exact import (
+    ExactnessError,
     ExactSequenceH,
     augmentation_basis,
     counit_morphism,
@@ -219,6 +220,9 @@ def test_dualize_sequence(double_s3):
     seq = make_abelian_sequence(double_s3)
     verify_exact_sequence(seq)
     dual = dualize_sequence(seq)
+    # one dual per algebra: the maps share the algebras of the sequence
+    assert dual.i.target is dual.h is dual.pi.source
+    assert dual.i.source is dual.h_prime and dual.pi.target is dual.h_doubleprime
     status = verify_exact_sequence(dual)
     assert status["exact"]
     # kernel of the dual sequence is (kS3)* = k^(S3)
@@ -283,6 +287,16 @@ def test_standalone_subalgebra_roundtrip(double_s3):
         sub = standalone_subalgebra(cand.sub)
         assert verify_hopf_axioms(sub).ok
         assert sub.dim == cand.sub.dim
+
+
+def test_span_that_is_not_closed():
+    # k e_(1 2) in kS3 misses the unit and e_(1 2)^2 = 1
+    s3 = symmetric(3)
+    H = group_algebra(s3)
+    K = span_subalgebra(H, [{s3.element_index()[parse_cycles("(1 2)", 3)]: H.field.one}])
+    assert K.verify() == [("unit",), ("mult", 0, 0)]
+    with pytest.raises(ExactnessError):
+        standalone_subalgebra(K)
 
 
 def test_identify_forms():
