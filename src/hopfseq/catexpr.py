@@ -9,11 +9,11 @@ exact rational arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cocycles import TwoCocycle
 from .groups import CapExceeded, PermGroup, is_prime, iso_label
+from .record import Frozen
 
 # is_prime divides by trial up to the square root: about 0.15 s at this cap
 PRIME_CAP = 10 ** 12
@@ -32,17 +32,18 @@ def _check_primes(*ns: int) -> bool:
     return all(is_prime(n) for n in ns)
 
 
-@dataclass(frozen=True)
-class CatExpr:
-    kind: str                      # rep | vec | gt | ty | cpq | deligne | center
-    group: PermGroup | None = None
-    omega: str = "1"               # 3-cocycle label; only "1" is computed with
-    subgroup: PermGroup | None = None
-    psi: TwoCocycle | None = None
-    p: int = 0
-    q: int = 0
-    labels: tuple = ()             # chi/tau or zeta/xi labels, carried only
-    parts: tuple = ()              # sub-expressions for deligne / center
+class CatExpr(Frozen):
+    """A category-expression node.  ``kind`` is rep | vec | gt | ty | cpq |
+    deligne | center; ``omega`` is a 3-cocycle label (only "1" is computed
+    with), ``labels`` the chi/tau or zeta/xi labels, carried only, and
+    ``parts`` the sub-expressions of deligne / center."""
+
+    __slots__ = ("kind", "group", "omega", "subgroup", "psi", "p", "q", "labels", "parts")
+
+    def __init__(self, kind: str, group: PermGroup | None = None, omega: str = "1",
+                 subgroup: PermGroup | None = None, psi: TwoCocycle | None = None,
+                 p: int = 0, q: int = 0, labels: tuple = (), parts: tuple = ()):
+        self._set(kind, group, omega, subgroup, psi, p, q, labels, parts)
 
     def describe(self) -> str:
         if self.kind == "rep":

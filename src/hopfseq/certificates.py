@@ -10,7 +10,6 @@ line from the group engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from . import catexpr
@@ -34,24 +33,25 @@ class Inconclusive(RuntimeError):
     """The implemented criterion does not cover the requested case."""
 
 
-@dataclass
 class TraceEntry:
-    case: str
-    values: dict
-    reason: str
-    axioms: tuple = ()
+    def __init__(self, case: str, values: dict, reason: str, axioms: tuple = ()):
+        self.case = case
+        self.values = values
+        self.reason = reason
+        self.axioms = axioms
 
     def machine_line(self) -> str:
         vals = " ".join(f"{k}={v}" for k, v in sorted(self.values.items()))
         return f"case={self.case} {vals} reason={self.reason}"
 
 
-@dataclass
 class SimplicityCertificate:
-    target: str
-    verdict: str                      # SIMPLE | NOT-SIMPLE | INCONCLUSIVE
-    trace: list[TraceEntry] = field(default_factory=list)
-    axioms_used: tuple = ()
+    def __init__(self, target: str, verdict: str, trace: list[TraceEntry] | None = None,
+                 axioms_used: tuple = ()):
+        self.target = target
+        self.verdict = verdict                 # SIMPLE | NOT-SIMPLE | INCONCLUSIVE
+        self.trace = [] if trace is None else trace
+        self.axioms_used = axioms_used
 
     def machine_lines(self) -> list[str]:
         out = [f"target={self.target}", f"verdict={self.verdict}"]

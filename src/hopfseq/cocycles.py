@@ -7,12 +7,12 @@ twist psi^g all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import lcm
 
 from .groups import PermGroup, pow_perm, small_generating_set
 from .perm import Perm, compose, inverse, perm_order
+from .record import Frozen
 
 
 # largest carrier the exhaustive coboundary search takes on
@@ -23,17 +23,14 @@ class CocycleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TwoCocycle:
+class TwoCocycle(Frozen):
     """Normalized 2-cocycle on a carrier group, exponents mod the conductor."""
 
-    carrier: PermGroup
-    conductor: int
-    table: dict[tuple[Perm, Perm], int]
+    __slots__ = ("carrier", "conductor", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table",
-                           {k: v % self.conductor for k, v in self.table.items()})
+    def __init__(self, carrier: PermGroup, conductor: int,
+                 table: dict[tuple[Perm, Perm], int]):
+        self._set(carrier, conductor, {k: v % conductor for k, v in table.items()})
 
     def value(self, a: Perm, b: Perm) -> int:
         return self.table[(a, b)]
@@ -197,17 +194,18 @@ def conjugate_twisted(psi: TwoCocycle, g: Perm) -> TwoCocycle:
 # cocycle pair (sigma, tau) for bicrossed products
 
 
-@dataclass(frozen=True)
-class PairedCocycles:
+class PairedCocycles(Frozen):
     """sigma: G x G -> (k^*)^Gamma and tau: Gamma x Gamma -> (k^*)^G.
 
     Stored as exponent tables sigma[(g, x, y)] for sigma_g(x, y) and
     tau[(x, s, t)] for tau_x(s, t), all mod the conductor.
     """
 
-    conductor: int
-    sigma: dict[tuple[Perm, Perm, Perm], int]
-    tau: dict[tuple[Perm, Perm, Perm], int]
+    __slots__ = ("conductor", "sigma", "tau")
+
+    def __init__(self, conductor: int, sigma: dict[tuple[Perm, Perm, Perm], int],
+                 tau: dict[tuple[Perm, Perm, Perm], int]):
+        self._set(conductor, sigma, tau)
 
     def sigma_at(self, g: Perm, x: Perm, y: Perm) -> int:
         return self.sigma[(g, x, y)] % self.conductor

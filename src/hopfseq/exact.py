@@ -14,8 +14,6 @@ use; no completeness is claimed outside these shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cyclotomic import CycField
 from .groups import (
     PermGroup,
@@ -46,6 +44,7 @@ from .linalg import (
     transpose,
 )
 from .matched import MatchedPair, verify_compatibility
+from .record import Frozen
 
 
 class ExactnessError(ValueError):
@@ -95,8 +94,11 @@ class HopfMorphism:
         bad: list[tuple] = []
         if self.apply(src.unit) != tgt.unit:
             bad.append(("unit",))
+        # a pair (i, j) with j outside row i and cols[i] or cols[j] empty gives {}
+        # on both sides, so only the others are checked, in the same order
+        nonempty = {j for j, col in enumerate(self.cols) if col}
         for i, row in enumerate(src.mult):
-            for j in range(src.dim):
+            for j in sorted((row.keys() | nonempty) if self.cols[i] else row):
                 lhs = self.apply(row.get(j, {}))
                 rhs = tgt.mul_vec(self.cols[i], self.cols[j])
                 if lhs != rhs:
@@ -161,13 +163,13 @@ def coinvariants(pi: HopfMorphism, side: str = "left") -> list[Vec]:
     return echelon_span(kernel, H.field).basis()
 
 
-@dataclass
 class HopfSubalgebra:
     """A subspace of an ambient Hopf algebra, kept as an echelon basis."""
 
-    ambient: HopfAlgebra
-    basis: list            # list[Vec], reduced echelon rows
-    note: str = ""
+    def __init__(self, ambient: HopfAlgebra, basis: list, note: str = ""):
+        self.ambient = ambient
+        self.basis = basis            # list[Vec], reduced echelon rows
+        self.note = note
 
     @property
     def dim(self) -> int:
@@ -372,14 +374,15 @@ def hopf_cokernel(f: HopfMorphism) -> tuple[HopfAlgebra, HopfMorphism]:
 # exact sequences
 
 
-@dataclass
 class ExactSequenceH:
-    h_prime: HopfAlgebra
-    i: HopfMorphism
-    h: HopfAlgebra
-    pi: HopfMorphism
-    h_doubleprime: HopfAlgebra
-    status: dict = field(default_factory=dict)
+    def __init__(self, h_prime: HopfAlgebra, i: HopfMorphism, h: HopfAlgebra,
+                 pi: HopfMorphism, h_doubleprime: HopfAlgebra, status: dict | None = None):
+        self.h_prime = h_prime
+        self.i = i
+        self.h = h
+        self.pi = pi
+        self.h_doubleprime = h_doubleprime
+        self.status = {} if status is None else status
 
 
 def verify_exact_sequence(seq: ExactSequenceH) -> dict:
@@ -473,13 +476,13 @@ def identify_dual_form(H: HopfAlgebra) -> PermGroup | None:
 # composition series
 
 
-@dataclass(frozen=True)
-class FactorDesc:
+class FactorDesc(Frozen):
     """A composition factor: kQ or k^Q for a simple group Q, or a raw algebra."""
 
-    kind: str          # "group" | "dual" | "raw"
-    label: str
-    dim: int
+    __slots__ = ("kind", "label", "dim")
+
+    def __init__(self, kind: str, label: str, dim: int):
+        self._set(kind, label, dim)          # kind: "group" | "dual" | "raw"
 
     def pretty(self) -> str:
         if self.kind == "group":
@@ -489,11 +492,12 @@ class FactorDesc:
         return f"raw(dim {self.dim})"
 
 
-@dataclass
 class HopfCompSeries:
-    factors: list[FactorDesc]
-    provenance: list[str] = field(default_factory=list)
-    total_dim: int = 0
+    def __init__(self, factors: list[FactorDesc], provenance: list[str] | None = None,
+                 total_dim: int = 0):
+        self.factors = factors
+        self.provenance = [] if provenance is None else provenance
+        self.total_dim = total_dim
 
     def multiset(self) -> tuple:
         return tuple(sorted((f.kind, f.label, f.dim) for f in self.factors))
@@ -508,12 +512,13 @@ def jh_compare(s1: HopfCompSeries, s2: HopfCompSeries) -> bool:
 # normal-subalgebra catalog
 
 
-@dataclass
 class NormalCandidate:
-    sub: HopfSubalgebra
-    note: str
-    quotient_factory: object = None   # () -> (HopfAlgebra, proj cols) or None
-    algebra: HopfAlgebra | None = None  # sub in its own basis, once verified
+    def __init__(self, sub: HopfSubalgebra, note: str, quotient_factory: object = None,
+                 algebra: HopfAlgebra | None = None):
+        self.sub = sub
+        self.note = note
+        self.quotient_factory = quotient_factory  # () -> (HopfAlgebra, proj cols) or None
+        self.algebra = algebra                    # sub in its own basis, once verified
 
     def canonical(self) -> tuple:
         return tuple(tuple(sorted(v.items())) for v in self.sub.basis)
@@ -879,19 +884,25 @@ def all_hopf_series_multisets(H: HopfAlgebra) -> set[tuple]:
 # symbolic refs: composition factors without expanding structure constants
 
 
-@dataclass(frozen=True)
-class GroupAlgebraRef:
-    group: PermGroup
+class GroupAlgebraRef(Frozen):
+    __slots__ = ("group",)
+
+    def __init__(self, group: PermGroup):
+        self._set(group)
 
 
-@dataclass(frozen=True)
-class DualGroupAlgebraRef:
-    group: PermGroup
+class DualGroupAlgebraRef(Frozen):
+    __slots__ = ("group",)
+
+    def __init__(self, group: PermGroup):
+        self._set(group)
 
 
-@dataclass(frozen=True)
-class BicrossedRef:
-    pair: MatchedPair
+class BicrossedRef(Frozen):
+    __slots__ = ("pair",)
+
+    def __init__(self, pair: MatchedPair):
+        self._set(pair)
 
 
 def symbolic_series(ref) -> HopfCompSeries:

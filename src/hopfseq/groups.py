@@ -9,7 +9,6 @@ factorizations.  Everything is exhaustive and exact; sizes are capped
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .perm import (
@@ -468,16 +467,25 @@ def iso_label(G: PermGroup) -> str:
 # subgroup lattice up to conjugacy
 
 
-@dataclass
 class SubgroupClassRow:
     """One conjugacy class of subgroups with its numeric invariants."""
 
-    representative: PermGroup
-    iso_label: str
-    order: int
-    char_group_order: int   # |T^| = |T/[T,T]|
-    normalizer_index: int   # [N_G(T):T]
-    conjugates: tuple[frozenset, ...] = field(repr=False, default=())
+    def __init__(self, representative: PermGroup, iso_label: str, order: int,
+                 char_group_order: int, normalizer_index: int,
+                 conjugates: tuple[frozenset, ...] = ()):
+        self.representative = representative
+        self.iso_label = iso_label
+        self.order = order
+        self.char_group_order = char_group_order   # |T^| = |T/[T,T]|
+        self.normalizer_index = normalizer_index   # [N_G(T):T]
+        self.conjugates = conjugates
+
+    def __repr__(self) -> str:
+        """The fields without the conjugates."""
+        return (f"SubgroupClassRow(representative={self.representative!r}, "
+                f"iso_label={self.iso_label!r}, order={self.order!r}, "
+                f"char_group_order={self.char_group_order!r}, "
+                f"normalizer_index={self.normalizer_index!r})")
 
     def numeric_key(self) -> tuple[str, int, int, int]:
         return (self.iso_label, self.order, self.char_group_order, self.normalizer_index)
@@ -783,11 +791,11 @@ def is_simple(G: PermGroup) -> bool:
 # exact factorizations  G = A.B  with  A meet B = {e}
 
 
-@dataclass
 class ExactFactorizationG:
-    ambient: PermGroup
-    left: PermGroup
-    right: PermGroup
+    def __init__(self, ambient: PermGroup, left: PermGroup, right: PermGroup):
+        self.ambient = ambient
+        self.left = left
+        self.right = right
 
     def verify(self) -> bool:
         """|A||B| = |G|, trivial intersection, product map bijective."""

@@ -18,7 +18,6 @@ defining linear system when no verified closed form applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .cocycles import PairedCocycles, trivial_paired_cocycles
@@ -27,6 +26,7 @@ from .groups import CapExceeded, PermGroup, prime_factors
 from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system, transpose
 from .matched import MatchedPair, drinfeld_pair
 from .perm import compose, cycle_string, inverse
+from .record import Frozen
 
 # verify_hopf_axioms evaluates only the instances that the nonzero products
 # and coproduct terms reach, so the cap bounds that work, not the dimension:
@@ -51,13 +51,14 @@ class HopfCapExceeded(HopfError, CapExceeded):
     """A Hopf computation refused by one of its caps."""
 
 
-@dataclass(frozen=True)
-class BicrossedOrigin:
+class BicrossedOrigin(Frozen):
     """A bicrossed product's matched pair and cocycles, and its basis order:
     e_g # x for g in Gamma, then x in G, both in element order."""
 
-    pair: MatchedPair
-    cocycles: PairedCocycles
+    __slots__ = ("pair", "cocycles")
+
+    def __init__(self, pair: MatchedPair, cocycles: PairedCocycles):
+        self._set(pair, cocycles)
 
     def basis(self) -> list[tuple]:
         """The pairs (g, x) of the basis vectors e_g # x, in basis order."""
@@ -149,11 +150,11 @@ class HopfAlgebra:
 # axiom verification
 
 
-@dataclass
 class AxiomReport:
-    violations: list
-    checked: dict  # family name -> number of instances covered
-    evaluated: dict = field(default_factory=dict)  # ... and actually computed
+    def __init__(self, violations: list, checked: dict, evaluated: dict | None = None):
+        self.violations = violations
+        self.checked = checked      # family name -> number of instances covered
+        self.evaluated = {} if evaluated is None else evaluated  # ... and actually computed
 
     @property
     def ok(self) -> bool:

@@ -13,20 +13,30 @@ unique refactorization  s x = (s |> x)(s <| x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .groups import ExactFactorizationG, GroupError, PermGroup
 from .perm import Perm, compose
 
 
-@dataclass
 class MatchedPair:
-    """Mutual actions of (G, Gamma), stored as dense lookup tables."""
+    """Mutual actions of (G, Gamma), stored as dense lookup tables.
 
-    G: PermGroup
-    Gamma: PermGroup
-    left_action: dict[tuple[Perm, Perm], Perm]   # (s, x) -> s |> x  in G
-    right_action: dict[tuple[Perm, Perm], Perm]  # (s, x) -> s <| x  in Gamma
+    Equal fields give equal pairs, so that the frozen records holding a pair
+    (BicrossedOrigin, BicrossedRef) compare by value.
+    """
+
+    def __init__(self, G: PermGroup, Gamma: PermGroup,
+                 left_action: dict[tuple[Perm, Perm], Perm],
+                 right_action: dict[tuple[Perm, Perm], Perm]):
+        self.G = G
+        self.Gamma = Gamma
+        self.left_action = left_action    # (s, x) -> s |> x  in G
+        self.right_action = right_action  # (s, x) -> s <| x  in Gamma
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.G, self.Gamma, self.left_action, self.right_action)
+                == (other.G, other.Gamma, other.left_action, other.right_action))
 
     def rtri(self, s: Perm, x: Perm) -> Perm:
         """s |> x."""
@@ -37,9 +47,9 @@ class MatchedPair:
         return self.right_action[(s, x)]
 
 
-@dataclass
 class CompatibilityReport:
-    violations: list[tuple] = field(default_factory=list)
+    def __init__(self, violations: list[tuple] | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def valid(self) -> bool:

@@ -18,7 +18,6 @@ and vect over A6 through the full elimination certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,12 +41,14 @@ class SeriesError(ValueError):
     pass
 
 
-@dataclass
 class CatCompSeries:
-    root: CatExpr
-    factors: list[CatExpr]
-    rule_trace: list[str] = field(default_factory=list)
-    terminal_status: list[str] = field(default_factory=list)
+    def __init__(self, root: CatExpr, factors: list[CatExpr],
+                 rule_trace: list[str] | None = None,
+                 terminal_status: list[str] | None = None):
+        self.root = root
+        self.factors = factors
+        self.rule_trace = [] if rule_trace is None else rule_trace
+        self.terminal_status = [] if terminal_status is None else terminal_status
 
     def factor_names(self) -> list[str]:
         return [f.describe() for f in self.factors]
@@ -59,11 +60,11 @@ class CatCompSeries:
         return len(self.factors)
 
 
-@dataclass
 class Decomposition:
-    rule: str
-    left: CatExpr
-    right: CatExpr
+    def __init__(self, rule: str, left: CatExpr, right: CatExpr):
+        self.rule = rule
+        self.left = left
+        self.right = right
 
 
 # ---------------------------------------------------------------------------

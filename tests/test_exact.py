@@ -183,6 +183,62 @@ def test_two_sided_ideal_matches_all_pairs_span(name):
     assert 0 < got.rank <= H.dim
 
 
+def _all_pairs_multiplicative(m):
+    """The unit and multiplicativity violations of m over every basis pair:
+    the oracle of HopfMorphism.verify, which skips the pairs that give {}
+    on both sides."""
+    src, tgt = m.source, m.target
+    bad = [] if m.apply(src.unit) == tgt.unit else [("unit",)]
+    for i, row in enumerate(src.mult):
+        for j in range(src.dim):
+            if m.apply(row.get(j, {})) != tgt.mul_vec(m.cols[i], m.cols[j]):
+                bad.append(("multiplicative", i, j))
+    return bad
+
+
+def _with_col(m, i, col):
+    cols = list(m.cols)
+    cols[i] = col
+    return HopfMorphism(m.source, m.target, cols)
+
+
+def _retargeted(m, i):
+    """m with the entries of column i moved to the next target index."""
+    return _with_col(m, i, {(k + 1) % m.target.dim: c for k, c in m.cols[i].items()})
+
+
+def _morphism_case(name, D):
+    seq = make_abelian_sequence(D)
+    s4 = symmetric(4)
+    v4 = s4.subgroup([parse_cycles(c, 4) for c in ("(1 2)(3 4)", "(1 3)(2 4)")])
+    one = D.field.one
+    return {
+        "D(S3) i": lambda: seq.i,
+        "D(S3) pi": lambda: seq.pi,
+        "dual i": lambda: dualize_sequence(seq).i,
+        "dual pi": lambda: dualize_sequence(seq).pi,
+        "kS4>kS3": lambda: make_group_quotient_sequence(s4, v4).pi,
+        "identity": lambda: identity_morphism(group_algebra(symmetric(3))),
+        "counit": lambda: counit_morphism(D),
+        "pi retargeted": lambda: _retargeted(seq.pi, 1),
+        "i retargeted": lambda: _retargeted(seq.i, 2),
+        "pi empty column filled": lambda: _with_col(seq.pi, D.dim - 1, {0: one}),
+        "pi column emptied": lambda: _with_col(seq.pi, 3, {}),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", [
+    "D(S3) i", "D(S3) pi", "dual i", "dual pi", "kS4>kS3", "identity", "counit",
+    "pi retargeted", "i retargeted", "pi empty column filled", "pi column emptied",
+])
+def test_morphism_verify_matches_all_pairs(name, double_s3):
+    m = _morphism_case(name, double_s3)
+    expected = _all_pairs_multiplicative(m)
+    got = [v for v in m.verify() if v[0] in ("unit", "multiplicative")]
+    assert got == expected
+    assert bool(expected) == name.startswith(("pi ", "i "))
+
+
 def test_verify_exact_sequence_double(double_s3):
     seq = make_abelian_sequence(double_s3)
     status = verify_exact_sequence(seq)
