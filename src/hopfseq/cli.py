@@ -2,8 +2,9 @@
 
 Verbs: table, factorize, build, verify, compseries, certify, ledger.
 Exit codes: 0 all verifications passed, 1 a verification failed,
-2 parse/usage errors, 3 a size cap was exceeded.  All output is
-byte-deterministic for fixed inputs and flags.
+2 parse/usage errors, 3 a size cap was exceeded, 141 (128 + SIGPIPE) the
+reader closed stdout.  All output is byte-deterministic for fixed inputs
+and flags.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ from .io_formats import (
     FormatError,
     dump_group,
     dump_hopf,
-    dump_work,
     load_group,
     load_hopf,
-    read_hopf_header,
 )
 from .matched import from_factorization
 from .perm import PermParseError, parse_cycles
@@ -68,6 +67,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 
 class CliError(Exception):
@@ -247,13 +247,8 @@ def cmd_build(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     if args.what == "hopf":
-        path = Path(args.target)
         try:
-            text = path.read_text()
-            lines = text.splitlines()
-            dim, conductor, start = read_hopf_header(lines)
-            check_work(dump_work(lines, dim, start), dim, conductor)
-            H = load_hopf(text)
+            H = load_hopf(Path(args.target).read_text())
         except OSError as exc:
             raise CliError(str(exc), EXIT_PARSE)
         except FormatError as exc:
@@ -430,13 +425,7 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_PARSE
 
 
-def main(argv=None, out=None) -> int:
-    out = out or sys.stdout
-    ap = build_parser()
-    try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+def _run(args, out) -> int:
     try:
         if args.cap_order is None:
             args.cap_order = _env_cap()
@@ -445,6 +434,24 @@ def main(argv=None, out=None) -> int:
             SeriesError) as exc:
         print(f"error: {exc}", file=out)
         return _exit_code(exc)
+
+
+def main(argv=None, out=None) -> int:
+    out = out or sys.stdout
+    ap = build_parser()
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_PARSE if exc.code not in (0, None) else 0
+    try:
+        code = _run(args, out)
+        out.flush()  # here, so that a closed pipe raises inside the try
+    except BrokenPipeError:
+        # the reader has gone; stdout goes to devnull so that the flush at
+        # exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    return code
 
 
 if __name__ == "__main__":

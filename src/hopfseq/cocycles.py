@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from math import lcm
 
-from .groups import PermGroup, pow_perm, small_generating_set
+from .groups import PermGroup, pow_perm, small_generating_set, walk
 from .perm import Perm, compose, inverse, perm_order
 from .record import Frozen
 
@@ -122,20 +122,8 @@ def coboundary_search(psi: TwoCocycle) -> bool:
     e = T.identity()
     gens = small_generating_set(T.elements, T.degree) or [e]
 
-    # BFS order in which every element is reached as (known element) * generator
-    order: list[tuple[Perm, Perm, Perm]] = []  # (new, old, gen)
-    reached = {e}
-    frontier = [e]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in reached:
-                    reached.add(y)
-                    order.append((y, x, g))
-                    nxt.append(y)
-        frontier = nxt
+    # every element but e, reached as (element reached earlier) * generator
+    order = walk(e, gens, compose)[1:]
 
     elems = T.elements
     for assignment in product(range(M), repeat=len(gens)):

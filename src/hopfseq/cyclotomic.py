@@ -271,6 +271,3 @@ def _poly_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else _ZERO) - (b[i] if i < len(b) else _ZERO) for i in range(n)]
     return _poly_trim(out)
-
-
-RATIONALS = get_field(1)

@@ -1,8 +1,10 @@
 """Finite permutation group engine.
 
-Covers element closure, conjugacy classes of subgroups, normalizers,
-abelianization orders, composition series, normal subgroups and exact
-factorizations.  Everything is exhaustive and exact; sizes are capped
+Covers element closure, conjugacy classes of elements and of subgroups,
+normalizers, abelianization orders, composition series, normal subgroups
+and exact factorizations.  Closures, element classes and the quotient
+maps are orbits read from one breadth-first walk along the generators
+(``walk``).  Everything is exhaustive and exact; sizes are capped
 (default 10,000 elements for closures, 1,000 for subgroup lattices).
 """
 
@@ -33,24 +35,31 @@ class GroupError(ValueError):
     pass
 
 
+def walk(seed, gens, step, cap: int | None = None) -> list[tuple]:
+    """The orbit of ``seed`` under ``gens``, breadth first, with its Schreier
+    tree (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    2005, section 4.1).
+
+    Returns ``(y, x, s)`` for each point y reached, where y = step(x, s)
+    and x was reached earlier; the seed comes first, as (seed, None, None).
+    Past ``cap`` points raises CapExceeded.
+    """
+    seen = {seed}
+    tree = [(seed, None, None)]
+    for x, _, _ in tree:  # the list grows while it is read: a queue
+        for s in gens:
+            y = step(x, s)
+            if y not in seen:
+                seen.add(y)
+                tree.append((y, x, s))
+                if cap is not None and len(tree) > cap:
+                    raise CapExceeded(f"group order exceeds cap {cap}")
+    return tree
+
+
 def closure(generators: list[Perm], degree: int, cap: int = ORDER_CAP) -> tuple[Perm, ...]:
     """Close a generator list under products; returns sorted element tuple."""
-    e = identity(degree)
-    elems = {e}
-    frontier = [e]
-    gens = [g for g in generators if g != e]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = compose(x, g)
-                if y not in elems:
-                    elems.add(y)
-                    new.append(y)
-                    if len(elems) > cap:
-                        raise CapExceeded(f"group order exceeds cap {cap}")
-        frontier = new
-    return tuple(sorted(elems))
+    return tuple(sorted([y for y, _, _ in walk(identity(degree), generators, compose, cap)]))
 
 
 def small_generating_set(elems: tuple[Perm, ...], degree: int) -> list[Perm]:
@@ -282,24 +291,13 @@ def normalizer(G: PermGroup, T: PermGroup) -> PermGroup:
 
 def conjugacy_classes(G: PermGroup) -> list[list[Perm]]:
     """Element conjugacy classes, each sorted, ordered by smallest member."""
-    gens = G.generators
     remaining = set(G.elements)
     classes = []
     while remaining:
-        x = min(remaining)
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g in gens:
-                    z = conjugate(g, y)
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        remaining -= orbit
-        classes.append(sorted(orbit))
+        orbit = walk(min(remaining), G.generators, lambda y, g: conjugate(g, y))
+        cls = sorted([y for y, _, _ in orbit])
+        remaining.difference_update(cls)
+        classes.append(cls)
     return classes
 
 
@@ -603,18 +601,8 @@ def _subgroup_lattice(G: PermGroup) -> tuple[tuple[frozenset, tuple[Perm, ...], 
     classes: list[tuple[frozenset, tuple[int, ...], list[frozenset]]] = []
 
     def register(sub: frozenset, gens: tuple[int, ...]) -> None:
-        orbit = {sub}
-        frontier = [sub]
-        while frontier:
-            new = []
-            for member in frontier:
-                for row in gen_conj:
-                    image = frozenset([row[x] for x in member])
-                    if image not in orbit:
-                        orbit.add(image)
-                        new.append(image)
-            frontier = new
-        orbit_sorted = sorted(orbit, key=sorted)
+        orbit = walk(sub, gen_conj, lambda member, row: frozenset([row[x] for x in member]))
+        orbit_sorted = sorted([y for y, _, _ in orbit], key=sorted)
         rep = orbit_sorted[0]
         rep_gens = gens
         if rep != sub:
@@ -733,22 +721,12 @@ def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, dict[Perm, Pe
             for x in N.elements:
                 coset_of[compose(g, x)] = len(reps)
             reps.append(g)
-    gens = [tuple(coset_of[compose(s, r)] for r in reps) for s in G.generators]
-    # the image of g depends on its coset only; walk the cosets from N along
-    # the generators, composing images
-    images = {0: identity(len(reps))}
-    frontier = [0]
-    while frontier:
-        new = []
-        for c in frontier:
-            for s, img in zip(G.generators, gens):
-                d = coset_of[compose(reps[c], s)]
-                if d not in images:
-                    images[d] = compose(images[c], img)
-                    new.append(d)
-        frontier = new
-    proj = {g: images[coset_of[g]] for g in G.elements}
-    return PermGroup(len(reps), gens), proj
+    Q = PermGroup(len(reps), [tuple(coset_of[compose(s, r)] for r in reps)
+                              for s in G.generators])
+    # Q acts regularly on the cosets and coset 0 is N, so the image of g is
+    # the one element of Q that carries coset 0 to the coset of g
+    image = {q[0]: q for q in Q.elements}
+    return Q, {g: image[coset_of[g]] for g in G.elements}
 
 
 def composition_factors(G: PermGroup) -> list[tuple[str, int]]:

@@ -2,7 +2,9 @@
 
 All loaders are strict and report the line they fail on; every format
 round-trips bit-exactly (load(dump(x)) == x structurally, and dumping
-again reproduces the same bytes).
+again reproduces the same bytes).  ``load_hopf`` is the one reader of Hopf
+dumps: it refuses a dump whose verification work is above the cap
+(hopf.check_work) from its indices alone, before it reads any scalar.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 from .cyclotomic import get_field
 from .groups import ORDER_CAP, PermGroup
-from .hopf import HopfAlgebra, check_conductor, verify_work
+from .hopf import HopfAlgebra, check_conductor, check_work, verify_work
 from .linalg import add_term
 from .matched import MatchedPair
 from .perm import PermParseError, cycle_string, parse_cycles
@@ -144,93 +146,86 @@ def dump_hopf(H: HopfAlgebra) -> str:
 
 
 _SECTIONS = ("BASIS", "MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE")
-
-
-def read_hopf_header(lines) -> tuple[int, int, int]:
-    """DIM, CONDUCTOR and the header's line count of a Hopf dump.
-
-    Reads no further than the first section name, so a caller can check
-    the dimension of a dump before its tensors are parsed.  A conductor
-    below 1 is a FormatError, one above hopf.CONDUCTOR_CAP a HopfError.
-    """
-    it = iter(lines)
-    if next(it, "").strip() != "HOPF v1":
-        raise FormatError("missing 'HOPF v1' header", 1)
-    header: dict[str, int] = {}
-    idx = 1
-    for ln in it:
-        ln = ln.strip()
-        if ln in _SECTIONS:
-            break
-        key, _, value = ln.partition(" ")
-        if key in ("DIM", "CONDUCTOR") and value.strip().isdigit():
-            header[key] = int(value)
-        elif ln:
-            raise FormatError(f"unexpected header line {ln!r}", idx + 1)
-        idx += 1
-    if len(header) != 2:
-        raise FormatError("missing DIM or CONDUCTOR header")
-    if header["CONDUCTOR"] < 1:
-        raise FormatError("CONDUCTOR must be at least 1")
-    check_conductor(header["CONDUCTOR"])
-    return header["DIM"], header["CONDUCTOR"], idx
-
-
-def dump_work(lines, dim: int, start: int) -> int:
-    """hopf.verify_work of a dump, from the indices of its MULT and COMULT
-    lines alone (lines[start:] are the sections), so that a caller can
-    refuse it before the scalars are parsed.  A line whose indices do not
-    read is skipped; load_hopf reports it."""
-    rows: Counter = Counter()    # i of 'i j : k : c'
-    deltas: Counter = Counter()  # i of 'i : j k : c'
-    firsts: Counter = Counter()  # j of 'i : j k : c'
-    current = None
-    for ln in lines[start:]:
-        ln = ln.strip()
-        if ln in _SECTIONS or ln == "END":
-            current = ln
-            continue
-        try:
-            if current == "MULT":
-                rows[int(ln.split(None, 1)[0])] += 1
-            elif current == "COMULT":
-                i, j = ln.split(":", 2)[:2]
-                deltas[int(i)] += 1
-                firsts[int(j.split(None, 1)[0])] += 1
-        except (ValueError, IndexError):
-            continue
-    return verify_work(dim, sum(rows.values()), max(rows.values(), default=0),
-                       sum(deltas.values()), max(deltas.values(), default=0),
-                       max(firsts.values(), default=0))
+# the lengths of the ':'-separated index groups of a line in each tensor
+# section: 'i j : k : coords' in MULT, 'i : j k : coords' in COMULT, ...
+_SHAPES = {"MULT": (2, 1), "COMULT": (1, 2), "UNIT": (1,), "COUNIT": (1,),
+           "ANTIPODE": (1, 1)}
 
 
 def load_hopf(text: str) -> HopfAlgebra:
-    lines = text.splitlines()
-    dim, conductor, idx = read_hopf_header(lines)
-    field = get_field(conductor)
+    """The Hopf algebra of a dump, read in one pass over its lines.
 
-    chunks: dict[str, list[tuple[int, str]]] = {}
-    current = None
-    saw_end = False
-    for lno in range(idx, len(lines)):
-        ln = lines[lno].strip()
-        if not ln:
-            continue
+    The pass reads the header and every index, with range checks, and each
+    section may appear once.  The verification work counted from the MULT
+    and COMULT indices is then checked (hopf.check_work, a HopfCapExceeded
+    above HOPF_WORK_CAP) before END and the sections are checked, the field
+    is built or any scalar is read.  A CONDUCTOR below 1 is a FormatError,
+    one above hopf.CONDUCTOR_CAP a HopfCapExceeded, both from the header.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    if not lines or lines[0] != "HOPF v1":
+        raise FormatError("missing 'HOPF v1' header", 1)
+    header: dict[str, int] = {}
+    start = 1
+    while start < len(lines) and lines[start] not in _SECTIONS:
+        key, _, value = lines[start].partition(" ")
+        if key in ("DIM", "CONDUCTOR") and value.strip().isdigit():
+            header[key] = int(value)
+        elif lines[start]:
+            raise FormatError(f"unexpected header line {lines[start]!r}", start + 1)
+        start += 1
+    if len(header) != 2:
+        raise FormatError("missing DIM or CONDUCTOR header")
+    dim, conductor = header["DIM"], header["CONDUCTOR"]
+    if conductor < 1:
+        raise FormatError("CONDUCTOR must be at least 1")
+    check_conductor(conductor)
+
+    def index(tok: str, section: str, lno: int) -> int:
+        try:
+            i = int(tok)
+        except ValueError:
+            raise FormatError(f"bad {section} index {tok!r}", lno) from None
+        if not 0 <= i < dim:
+            raise FormatError(f"{section} index {i} out of range", lno)
+        return i
+
+    # lines[start] is a section name, or there are no sections
+    chunks: dict[str, list] = {}
+    section, saw_end = "", False
+    for lno, ln in enumerate(lines[start:], start=start + 1):
         if ln == "END":
             saw_end = True
             break
         if ln in _SECTIONS:
-            current = ln
-            chunks[current] = []
-            continue
-        if current is None:
-            raise FormatError(f"content outside any section: {ln!r}", lno + 1)
-        chunks[current].append((lno + 1, ln))
+            if ln in chunks:  # a second header would drop the lines of the first
+                raise FormatError(f"repeated section {ln}", lno)
+            section = ln
+            chunks[section] = []
+        elif ln and section == "BASIS":
+            i, _, label = ln.partition(" ")
+            chunks[section].append((index(i, "basis", lno), label))
+        elif ln:
+            *heads, coords = ln.split(":")
+            groups = [head.split() for head in heads]
+            if tuple(map(len, groups)) != _SHAPES[section]:
+                raise FormatError(f"malformed {section} entry", lno)
+            chunks[section].append(
+                (lno, [index(tok, section, lno) for g in groups for tok in g], coords.split()))
+
+    mults, comults = chunks.get("MULT", []), chunks.get("COMULT", [])
+    rows = Counter(idx[0] for _, idx, _ in mults)
+    deltas = Counter(idx[0] for _, idx, _ in comults)
+    firsts = Counter(idx[1] for _, idx, _ in comults)
+    check_work(verify_work(dim, len(mults), max(rows.values(), default=0), len(comults),
+                           max(deltas.values(), default=0), max(firsts.values(), default=0)),
+               dim, conductor)
     if not saw_end:
         raise FormatError("missing END marker")
     for needed in _SECTIONS:
         if needed not in chunks:
             raise FormatError(f"missing section {needed}")
+    field = get_field(conductor)
 
     def scalar(tokens, lno):
         coords = []
@@ -244,52 +239,22 @@ def load_hopf(text: str) -> HopfAlgebra:
                 f"need {field.degree} coordinates, got {len(coords)}", lno)
         return field.scalar(coords)
 
-    def index(tok: str, section: str, lno: int) -> int:
-        try:
-            i = int(tok)
-        except ValueError:
-            raise FormatError(f"bad {section} index {tok!r}", lno) from None
-        if not 0 <= i < dim:
-            raise FormatError(f"{section} index {i} out of range", lno)
-        return i
-
-    def entry(section: str, shape: tuple, lno: int, ln: str):
-        """The indices and the scalar of an 'i j : k : coords' line, whose
-        ':'-separated index groups have the lengths in shape."""
-        *heads, cpart = ln.split(":")
-        groups = [head.split() for head in heads]
-        if [len(g) for g in groups] != list(shape):
-            raise FormatError(f"malformed {section} entry", lno)
-        idx = [index(tok, section, lno) for g in groups for tok in g]
-        return idx, scalar(cpart.split(), lno)
-
     labels = [""] * dim
-    for lno, ln in chunks["BASIS"]:
-        i_str, _, lab = ln.partition(" ")
-        labels[index(i_str, "basis", lno)] = lab
-
+    for i, label in chunks["BASIS"]:
+        labels[i] = label
     mult: list[dict] = [{} for _ in range(dim)]
-    for lno, ln in chunks["MULT"]:  # repeated 'i j : k' lines are summed
-        (i, j, k), c = entry("MULT", (2, 1), lno, ln)
-        add_term(mult[i].setdefault(j, {}), k, c)
-
+    for lno, (i, j, k), coords in mults:  # repeated 'i j : k' lines are summed
+        add_term(mult[i].setdefault(j, {}), k, scalar(coords, lno))
     comult_terms: dict[int, list] = {}
-    for lno, ln in chunks["COMULT"]:
-        (i, j, k), c = entry("COMULT", (1, 2), lno, ln)
-        comult_terms.setdefault(i, []).append((j, k, c))
+    for lno, (i, j, k), coords in comults:
+        comult_terms.setdefault(i, []).append((j, k, scalar(coords, lno)))
     comult = tuple(tuple(comult_terms.get(i, ())) for i in range(dim))
-
-    unit = {}
-    for lno, ln in chunks["UNIT"]:
-        (i,), c = entry("UNIT", (1,), lno, ln)
-        unit[i] = c
+    unit = {i: scalar(coords, lno) for lno, (i,), coords in chunks["UNIT"]}
     counit = [field.zero] * dim
-    for lno, ln in chunks["COUNIT"]:
-        (i,), c = entry("COUNIT", (1,), lno, ln)
-        counit[i] = c
-    antipode = [dict() for _ in range(dim)]
-    for lno, ln in chunks["ANTIPODE"]:
-        (j, i), c = entry("ANTIPODE", (1, 1), lno, ln)
-        antipode[j][i] = c
+    for lno, (i,), coords in chunks["COUNIT"]:
+        counit[i] = scalar(coords, lno)
+    antipode: list[dict] = [{} for _ in range(dim)]
+    for lno, (j, i), coords in chunks["ANTIPODE"]:
+        antipode[j][i] = scalar(coords, lno)
     return HopfAlgebra(field, labels, mult, unit, comult, tuple(counit),
                        tuple(antipode))

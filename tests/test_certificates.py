@@ -8,6 +8,7 @@ from hopfseq import (
     tambara_yamagami,
     trivial_cocycle,
 )
+from hopfseq.catexpr import LEDGER_AXIOMS
 from hopfseq.certificates import Inconclusive
 from hopfseq.cocycles import nondegenerate_v4_cocycle
 from hopfseq.groups import iso_label, normalizer
@@ -86,6 +87,13 @@ def test_family_cpq():
     cases = [e.case for e in cert.trace if e.case.startswith("split")]
     assert cases == ["split-3x25", "split-5x15", "split-15x5", "split-25x3"]
     assert "cpq-not-group-theoretical" in cert.axioms_used
+
+
+def test_every_axiom_a_certificate_names_is_in_the_ledger(a6_cert):
+    for cert in (a6_cert, family_simplicity_check(tambara_yamagami(5)),
+                 family_simplicity_check(cpq_category(3, 5))):
+        named = set(cert.axioms_used) | {ax for e in cert.trace for ax in e.axioms}
+        assert named and named <= set(LEDGER_AXIOMS), named - set(LEDGER_AXIOMS)
 
 
 def test_family_rejects_other_nodes():

@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -9,7 +12,16 @@ from hopfseq.cyclotomic import get_field
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from hopfseq import drinfeld_double, group_algebra, hopf, symmetric
 from hopfseq.groups import CapExceeded, alternating
-from hopfseq.hopf import HOPF_WORK_CAP, HopfError, bicrossed_work, check_conductor, check_work
+from hopfseq.hopf import (
+    HOPF_WORK_CAP,
+    HopfCapExceeded,
+    HopfError,
+    bicrossed_work,
+    check_conductor,
+    check_work,
+)
+
+from test_readme_cli import source_env
 
 
 def run_cli(*argv):
@@ -170,6 +182,13 @@ BAD_INPUTS = [
 ]
 
 
+def test_repeated_section_is_refused(tmp_path):
+    # a second header would drop the lines read under the first
+    code, text = run_cli("verify", "hopf", _bad_dump("{ANTIPODE:ANTIPODE}", tmp_path))
+    assert code == EXIT_PARSE
+    assert text.startswith("error: ") and text.endswith(": repeated section ANTIPODE\n")
+
+
 def _dense_dump(lines: list[str], conductor: int, degree: int) -> list[str]:
     """The dump moved to this conductor, every coefficient written as
     ``degree`` ones: a valid dump whose every scalar is dense."""
@@ -257,11 +276,14 @@ OVER_HOPF_CAP = [
 ]
 
 
+# no tensors follow, and no END, so the dim**2 pairs alone must exceed the cap
+HEADER_ONLY_DUMP = "HOPF v1\nDIM 10000\nCONDUCTOR 1\nBASIS\n"
+
+
 @pytest.mark.parametrize("argv", OVER_HOPF_CAP)
 def test_hopf_dim_cap_refuses_at_once(tmp_path, argv):
     huge = tmp_path / "huge.hopf"
-    # no tensors follow, so the dim**2 pairs alone must exceed the cap
-    huge.write_text("HOPF v1\nDIM 10000\nCONDUCTOR 1\nBASIS\n")
+    huge.write_text(HEADER_ONLY_DUMP)
     code, text = run_cli(*(a.format(huge=huge) for a in argv))
     assert code == EXIT_CAP
     lines = text.splitlines()
@@ -279,17 +301,45 @@ DENSE_DUMPS = {
 }
 
 
+def _dense_text(which: str) -> str:
+    dim, mult, comult = DENSE_DUMPS[which]
+    return "\n".join(["HOPF v1", f"DIM {dim}", "CONDUCTOR 1", "BASIS", "MULT", *mult,
+                      "COMULT", *comult, "UNIT", "COUNIT", "ANTIPODE", "END"]) + "\n"
+
+
 @pytest.mark.parametrize("which", sorted(DENSE_DUMPS))
 def test_hopf_work_cap_reads_the_tensor_lines(tmp_path, which):
-    dim, mult, comult = DENSE_DUMPS[which]
+    dim = DENSE_DUMPS[which][0]
     path = tmp_path / "dense.hopf"
-    path.write_text("\n".join(["HOPF v1", f"DIM {dim}", "CONDUCTOR 1", "BASIS", "MULT",
-                                *mult, "COMULT", *comult, "UNIT", "COUNIT", "ANTIPODE",
-                                "END"]) + "\n")
+    path.write_text(_dense_text(which))
     code, text = run_cli("verify", "hopf", str(path))
     assert code == EXIT_CAP
     assert text.startswith(f"error: dimension {dim}: verification work ")
     assert text.endswith(f" exceeds cap {HOPF_WORK_CAP}\n") and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["header-only", *sorted(DENSE_DUMPS)])
+def test_load_hopf_refuses_over_cap_before_any_scalar(which):
+    # the library reader checks the work first: before END (missing in the
+    # header-only dump) and before the scalars (which do not parse in the
+    # dense dumps)
+    text = HEADER_ONLY_DUMP if which == "header-only" else _dense_text(which)
+    with pytest.raises(HopfCapExceeded, match=f" exceeds cap {HOPF_WORK_CAP}$"):
+        load_hopf(text)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the read end is closed before the process starts, so its first write
+    # fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "hopfseq.cli", "ledger", "ty:7"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=source_env(),
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")  # 128 + SIGPIPE
 
 
 def test_build_double_verifies_once(monkeypatch):

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -25,10 +26,12 @@ from hopfseq.groups import (
     all_composition_factor_multisets,
     closure,
     commutator_subgroup,
+    conjugacy_classes,
     is_simple,
     quotient_group,
+    walk,
 )
-from hopfseq.perm import compose, inverse, parse_cycles, perm_order
+from hopfseq.perm import compose, conjugate, inverse, parse_cycles, perm_order
 
 # Numeric content of the two subgroup tables: (iso, |T|, |T^|, [N:T]).
 A6_TABLE_ROWS = sorted([
@@ -74,6 +77,47 @@ def test_closure_cap():
     with pytest.raises(CapExceeded):
         elements([parse_cycles("(1 2)", 8), parse_cycles("(1 2 3 4 5 6 7 8)", 8)], 8,
                  cap=1000)
+
+
+def _conjugation(y, g):
+    return conjugate(g, y)
+
+
+@pytest.mark.parametrize("seed, step, size", [
+    ((0, 1, 2, 3), compose, 24),
+    ((1, 0, 2, 3), _conjugation, 6),
+    ((1, 2, 3, 0), _conjugation, 6),
+], ids=["s4", "transpositions", "4-cycles"])
+def test_walk_contract(seed, step, size):
+    gens = symmetric(4).generators
+    tree = walk(seed, gens, step)
+    assert tree[0] == (seed, None, None) and len(tree) == size
+    reached = {seed}
+    for y, x, s in tree[1:]:
+        assert x in reached and s in gens and step(x, s) == y and y not in reached
+        reached.add(y)
+    with pytest.raises(CapExceeded, match=f"^group order exceeds cap {size - 1}$"):
+        walk(seed, gens, step, cap=size - 1)
+    assert walk(seed, gens, step, cap=size) == tree
+
+
+def _random_s6_subgroup(seed):
+    rng = random.Random(seed)
+    return elements([tuple(rng.sample(range(6), 6)) for _ in range(2)], 6)
+
+
+@pytest.mark.parametrize("G", [
+    symmetric(3), symmetric(4), dihedral(6), quaternion8(), named_group("a4"),
+    symmetric(5), _random_s6_subgroup(1), _random_s6_subgroup(2),
+], ids=lambda G: f"{G.name or 'random'}-{G.order}")
+def test_conjugacy_classes_against_brute_force(G):
+    oracle = {}
+    for x in G.elements:
+        if x not in oracle:
+            cls = sorted({compose(compose(g, x), inverse(g)) for g in G.elements})
+            oracle.update((y, cls) for y in cls)
+    expected = sorted({tuple(cls) for cls in oracle.values()})
+    assert [tuple(cls) for cls in conjugacy_classes(G)] == expected
 
 
 def test_subgroup_classes_a6_match_table(a6_rows):

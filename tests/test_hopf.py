@@ -28,7 +28,8 @@ from hopfseq.hopf import (
     bicrossed_work,
     check_work,
 )
-from hopfseq.io_formats import dump_hopf, dump_work, load_hopf, read_hopf_header
+from hopfseq import io_formats
+from hopfseq.io_formats import dump_hopf, load_hopf
 from hopfseq.perm import inverse
 
 from test_verifier_oracle import CASES as ORACLE_CASES
@@ -208,9 +209,12 @@ def test_report_counts_instances_evaluated(double_s3):
     assert list(report.evaluated) == list(report.checked)
 
 
-def test_work_bound_matches_counts_and_covers_evaluation(double_s3):
-    # dump_work on a dump's lines agrees with the closed form, and bounds the
-    # pairs and the triples actually evaluated
+def test_work_bound_matches_counts_and_covers_evaluation(double_s3, monkeypatch):
+    # the work load_hopf checks, counted from a dump's indices, agrees with
+    # the closed form, and bounds the pairs and the triples actually evaluated
+    checked = []
+    monkeypatch.setattr(io_formats, "check_work",
+                        lambda work, dim, conductor: checked.append(work))
     S4 = symmetric(4)
     cases = [
         (group_algebra(S4), bicrossed_work(24, 1)),
@@ -220,9 +224,9 @@ def test_work_bound_matches_counts_and_covers_evaluation(double_s3):
         (drinfeld_double(quaternion8()), bicrossed_work(8, 8)),
     ]
     for H, work in cases:
-        lines = dump_hopf(H).splitlines()
-        dim, _, start = read_hopf_header(lines)
-        assert dump_work(lines, dim, start) == work
+        load_hopf(dump_hopf(H))
+        assert checked == [work]
+        checked.clear()
         evaluated = verify_hopf_axioms(H).evaluated
         assert H.dim ** 2 + evaluated["associativity"] <= work
 
