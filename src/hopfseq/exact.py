@@ -31,6 +31,7 @@ from .hopf import (
     bicrossed_product,
     dual_group_algebra,
     dual_hopf,
+    dual_product,
     group_algebra,
 )
 from .linalg import (
@@ -711,47 +712,31 @@ def normal_subalgebra_candidates(H: HopfAlgebra) -> list[NormalCandidate]:
 
 def _group_form_with_perms(H: HopfAlgebra):
     one = H.field.one
-    n = H.dim
-    if len(H.unit) != 1:
+    if any(t != ((i, i, one),) or c != one for i, (t, c) in enumerate(zip(H.comult, H.counit))):
         return None
-    table = []
-    for i in range(n):
-        if H.comult[i] != ((i, i, one),) or H.counit[i] != one:
-            return None
-        row = H.mult[i]  # every e_i e_j is one basis vector e_k
-        if len(row) != n or any(list(cell.values()) != [one] for cell in row.values()):
-            return None
-        table.append(tuple(k for cell in row.values() for k in cell))
-    return _table_group(table)
+    return _table_group(H.mult, H.unit)
 
 
 def _dual_form_with_perms(H: HopfAlgebra):
+    """k^G = (kG)*: the group-form reader run on H*, whose product is the
+    transpose of Delta and whose unit is the counit."""
     one = H.field.one
-    n = H.dim
-    if len(H.unit) != n or any(not c.is_one() for c in H.unit.values()):
+    if (len(H.unit) != H.dim or any(not c.is_one() for c in H.unit.values())
+            or any(row != {i: {i: one}} for i, row in enumerate(H.mult))):
         return None
-    if sum(1 for c in H.counit if c.is_one()) != 1:
-        return None
-    if any(not (c.is_one() or c.is_zero()) for c in H.counit):
-        return None
-    if any(row != {i: {i: one}} for i, row in enumerate(H.mult)):
-        return None
-    law = {}
-    for i in range(n):
-        for j, k, c in H.comult[i]:
-            if not c.is_one() or (j, k) in law:
-                return None
-            law[(j, k)] = i
-    if len(law) != n * n:
-        return None
-    return _table_group([tuple(law[(i, j)] for j in range(n)) for i in range(n)])
+    return _table_group(dual_product(H), {i: c for i, c in enumerate(H.counit) if not c.is_zero()})
 
 
-def _table_group(table: list):
-    """(the group of the rows of a multiplication table, the rows), or None
-    when a row is not a permutation of the indices or they form no group."""
-    n = len(table)
-    if any(sorted(p) != list(range(n)) for p in table):
+def _table_group(rows: list, unit: dict):
+    """(the group, its table) when rows and unit are those of kG on the nose:
+    each e_i e_j and the unit are one basis vector with coefficient one (any
+    other cell leaves its table row no permutation), the unit's row is the
+    identity and the rows form a group; None when not."""
+    n = len(rows)
+    table = [tuple(k if c.is_one() else -1 for _, cell in sorted(row.items()) for k, c in cell.items())
+             for row in rows]
+    if (len(unit) != 1 or any(not c.is_one() or table[u] != tuple(range(n)) for u, c in unit.items())
+            or any(sorted(p) != list(range(n)) for p in table)):
         return None
     try:
         return from_elements(n, table), table

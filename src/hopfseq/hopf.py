@@ -11,8 +11,10 @@ A HopfAlgebra stores, over a fixed cyclotomic field:
 Constructions: group algebra kG, its dual k^G, bicrossed products
 k^Gamma #(sigma,tau) kG over a matched pair, the Drinfeld double D(G),
 and duals.  The rows of mult hold only the nonzero products, in increasing
-j and k, with no zero coefficient.  Axioms are verified exhaustively over basis
-tuples with zero tolerance; the antipode is obtained by solving the
+j and k, with no zero coefficient.  Axioms are verified exhaustively over
+basis tuples with zero tolerance; one walk checks unit and associativity
+on the rows of mult, and counit and coassociativity on those of the dual,
+the transpose of Delta.  The antipode is obtained by solving the
 defining linear system when no verified closed form applies.
 """
 
@@ -32,9 +34,9 @@ from .record import Frozen
 # and coproduct terms reach, so the cap bounds that work, not the dimension:
 # verify_work counts it from nonzero counts.  The cap is the work of k^Z216,
 # the slowest algebra the old dimension cap of 216 accepted: 33 s there at
-# 3.3 us a dim**3 triple, 21 s here at 0.7 us a unit of work.  It accepts
-# D(S4) (dim 576, work 17.3 M, 7 s to build, 0.4 us a unit) and refuses kZ576
-# and k^Z576 (work 192 M and 574 M).  Measured on 2 CPUs, Python 3.11.7.
+# 3.3 us a dim**3 triple, 9.5 s here at 0.3 us a unit of work.  It accepts
+# D(S4) (dim 576, work 17.3 M, 2.6 s to build, 0.15 us a unit) and refuses
+# kZ576 and k^Z576 (work 192 M and 574 M).  Measured on 2 CPUs, Python 3.11.7.
 HOPF_WORK_CAP = 30_326_616
 # Building Q(zeta_N) takes time that grows with the divisors of N: at most
 # 0.07 s for N <= 1000 (N = 900), but 1.1 s for N = 5040 and 5.1 s for
@@ -190,10 +192,11 @@ def _apply(cols, vec: Vec, one: CycScalar) -> dict:
     return out
 
 
-def _antipode_violations(H: HopfAlgebra, S, cols: list, checked: dict, evaluated: dict):
+def _antipode_violations(H: HopfAlgebra, S, checked: dict, evaluated: dict):
     """m(S (x) id)Delta = u eps = m(id (x) S)Delta on every basis vector, for
     the antipode columns S."""
     one, P = H.field.one, H.mult
+    cols = transpose(P, H.dim)  # cols[k][i] = e_i e_k
     for i in range(H.dim):
         left: Vec = {}
         right: Vec = {}
@@ -209,7 +212,55 @@ def _antipode_violations(H: HopfAlgebra, S, cols: list, checked: dict, evaluated
                 yield fam, i
 
 
-def _violations(H: HopfAlgebra, cols: list, checked: dict, evaluated: dict):
+def _walk(P, unit: Vec, one: CycScalar, checked: dict, evaluated: dict):
+    """Every failing instance of unit-left, unit-right and associativity of the
+    product with rows P and unit `unit`, in a fixed order, as (family,
+    instance, left side, right side).  (e_i e_j) e_k is zero unless k is in
+    supp(row x) for an x in supp(e_i e_j), and e_i (e_j e_k) unless
+    supp(e_j e_k) meets supp(row i); k runs in increasing order over that
+    union.  The counts are kept per row, exact when the caller stops early."""
+    dim = len(P)
+    cols = transpose(P, dim)  # cols[k][i] = e_i e_k
+    for i in range(dim):
+        for fam, got in (("unit-left", _apply(cols[i], unit, one)),
+                         ("unit-right", _apply(P[i], unit, one))):
+            checked[fam] = evaluated[fam] = checked.get(fam, 0) + 1
+            if got != {i: one}:
+                yield fam, i, got, {i: one}
+    whole = range(dim)
+    reaching = [[] for _ in whole]  # y -> the pairs (j, k) with y in supp(e_j e_k)
+    for j, row in enumerate(P):
+        for k, cell in row.items():
+            for y in cell:
+                reaching[y].append((j, k))
+    done = computed = 0
+    for i, Pi in enumerate(P):
+        reach = None  # j -> {k: supp(e_j e_k) meets supp(row i)}; None: every k of row j
+        if len(Pi) < dim:
+            reach = {}
+            for y in Pi:
+                for j, k in reaching[y]:
+                    reach.setdefault(j, set()).add(k)
+        for j, Pj in enumerate(P):
+            ij = Pi.get(j, _ZERO)
+            ks = Pj if reach is None else reach.get(j, ())
+            if ij and (len(ks) == dim or any(len(P[x]) == dim for x in ij)):
+                ks = whole
+            elif ij or ks:
+                ks = sorted(set(ks).union(*(P[x] for x in ij)))
+            for k in ks:
+                lhs, rhs = _apply(cols[k], ij, one), _apply(Pi, Pj.get(k, _ZERO), one)
+                if lhs != rhs:
+                    checked["associativity"] = done + k + 1
+                    evaluated["associativity"] = computed + ks.index(k) + 1
+                    yield "associativity", (i, j, k), lhs, rhs
+            done += dim
+            computed += len(ks)
+            checked["associativity"] = done
+            evaluated["associativity"] = computed
+
+
+def _violations(H: HopfAlgebra, checked: dict, evaluated: dict):
     """Every failing instance of the bialgebra axioms, in a fixed order.
 
     The families over pairs and triples skip the instances whose two sides
@@ -223,69 +274,29 @@ def _violations(H: HopfAlgebra, cols: list, checked: dict, evaluated: dict):
         checked[fam] = evaluated[fam] = checked.get(fam, 0) + 1
         return bad
 
-    for i in range(dim):
-        if failed("unit-left", _apply(cols[i], unit, one) != {i: one}):
-            yield "unit-left", i
-        if failed("unit-right", _apply(P[i], unit, one) != {i: one}):
-            yield "unit-right", i
-
-    # (e_i e_j) e_k = e_i (e_j e_k).  The left side is zero unless k is in
-    # the support of a row x in supp(e_i e_j), the right side unless k is in
-    # the support of row j; k runs in increasing order over that union, a
-    # whole row when the union is every column.
-    ids: dict = {}  # the distinct row supports, numbered
-    sid = [ids.setdefault(tuple(row), len(ids)) for row in P]
-    distinct = list(ids)
-    spans: dict = {}  # a set of support numbers -> the union of those supports
-
-    def span(key: frozenset):
-        ks = spans.get(key)
-        if ks is None:
-            union = set().union(*(distinct[t] for t in key))
-            ks = spans[key] = range(dim) if len(union) == dim else sorted(union)
-        return ks
-
-    own = [span(frozenset((t,))) for t in sid]
-    done = computed = 0
-    for i in range(dim):
-        Pi = P[i]
-        for j in range(dim):
-            ij, Pj = Pi.get(j, _ZERO), P[j]
-            ks = span(frozenset([sid[j], *(sid[x] for x in ij)])) if ij else own[j]
-            for k in ks:
-                if _apply(cols[k], ij, one) != _apply(Pi, Pj.get(k, _ZERO), one):
-                    checked["associativity"] = done + k + 1
-                    evaluated["associativity"] = computed + ks.index(k) + 1
-                    yield "associativity", (i, j, k)
-            done += dim
-            computed += len(ks)
-            checked["associativity"] = done
-            evaluated["associativity"] = computed
+    for fam, item, _, _ in _walk(P, unit, one, checked, evaluated):
+        yield fam, item
+    # H's coalgebra families are the unit and associativity families of H*,
+    # with product the transpose of Delta and unit the counit: ("counit-left",
+    # i) fails iff a unit-left instance of H* differs at output coordinate i
+    bad: dict = {}
+    eps = {i: c for i, c in enumerate(counit) if not c.is_zero()}
+    for fam, _, lhs, rhs in _walk(dual_product(H), eps, one, {}, {}):
+        bad.setdefault(fam, set()).update(m for m in lhs.keys() | rhs.keys()
+                                          if lhs.get(m) != rhs.get(m))
+    for duals in ((("counit-left", "unit-left"), ("counit-right", "unit-right")),
+                  (("coassociativity", "associativity"),)):
+        for i in range(dim):
+            for fam, dual in duals:
+                if failed(fam, i in bad.get(dual, ())):
+                    yield fam, i
 
     delta = {i: {} for i in range(dim)}  # Delta(e_i) keyed (j, k)
+    firsts = [[] for _ in range(dim)]  # a2 -> [(j, b2, c2)] per term of a Delta(e_j)
     for i, d in delta.items():
-        left: Vec = {}
-        right: Vec = {}
         for j, k, c in H.comult[i]:
-            add_term(left, k, _times(c, counit[j], one))
-            add_term(right, j, _times(c, counit[k], one))
             add_term(d, (j, k), c)
-        if failed("counit-left", left != {i: one}):
-            yield "counit-left", i
-        if failed("counit-right", right != {i: one}):
-            yield "counit-right", i
-
-    for i in range(dim):
-        lhs: dict = {}
-        rhs: dict = {}
-        for (j, k), c in delta[i].items():
-            for (a, b), d in delta[j].items():
-                add_term(lhs, (a, b, k), _times(c, d, one))
-            for (a, b), d in delta[k].items():
-                add_term(rhs, (j, a, b), _times(c, d, one))
-        if failed("coassociativity", lhs != rhs):
-            yield "coassociativity", i
-
+            firsts[j].append((i, k, c))
     unit_tensor = {(i, j): _times(a, b, one) for i, a in unit.items() for j, b in unit.items()}
     if failed("comult-unit", _apply(delta, unit, one) != unit_tensor):
         yield ("comult-unit",)
@@ -294,10 +305,6 @@ def _violations(H: HopfAlgebra, cols: list, checked: dict, evaluated: dict):
     # unless e_a1 e_a2 != 0.  So each term of Delta(e_i) meets, for a2 in
     # the support of row a1, the terms of every Delta(e_j) with first leg
     # a2, and one walk sums the right sides of the whole row i.
-    firsts = [[] for _ in range(dim)]  # a2 -> [(j, b2, c2)]
-    for j, d in delta.items():
-        for (a2, b2), c2 in d.items():
-            firsts[a2].append((j, b2, c2))
     fam = "comult-multiplicative"
     done = computed = 0
     for i in range(dim):
@@ -355,24 +362,20 @@ def verify_hopf_axioms(H: HopfAlgebra, include_antipode: bool = True) -> AxiomRe
     The families run in a fixed order: unit, associativity over every
     triple (i, j, k), counit, coassociativity, comultiplication and counit
     as algebra maps over every pair (i, j), then (unless include_antipode
-    is false) both antipode identities.  Every family reads the products
-    from the rows of mult, and from their columns, built once here; sums
-    are exact CycScalar sums with zero entries dropped.  The report lists
-    the first MAX_REPORT failing instances in that order.
+    is false) both antipode identities.  Sums are exact CycScalar sums with
+    zero entries dropped.  The report lists the first MAX_REPORT failing
+    instances in that order.
 
     ``checked`` counts the instances covered per family: dim**3 for
     associativity and dim**2 for the multiplicative families on a full
     run.  ``evaluated`` counts those actually computed; the rest are
-    instances whose two sides the supports of the products and of Delta
-    make empty sums, such as (e_i e_j) e_k with every product on both
-    sides zero.  D(S3) covers 46,656 associativity triples and evaluates
-    7,776.
+    instances whose two sides the supports make empty sums.  D(S3) covers
+    46,656 associativity triples and evaluates 1,296.
     """
     report = AxiomReport([], {})
-    cols = transpose(H.mult, H.dim)  # cols[j][i] = e_i e_j
-    families = _violations(H, cols, report.checked, report.evaluated)
+    families = _violations(H, report.checked, report.evaluated)
     if include_antipode:
-        families = chain(families, _antipode_violations(H, H.antipode, cols, report.checked,
+        families = chain(families, _antipode_violations(H, H.antipode, report.checked,
                                                         report.evaluated))
     for item in families:
         if not report.add(*item):
@@ -388,11 +391,14 @@ def verify_work(dim: int, mult_terms: int, row_max: int, comult_terms: int,
 
     The work is the sum of
       - the dim**2 pairs (i, j) that the pair families visit;
-      - the associativity triples evaluated: (i, j) evaluates supp(row j),
-        at most dim * (nonzero cells) over all (i, j), joined with the
-        supports of the rows x in supp(e_i e_j), at most mult_terms * row_max;
-      - the coassociativity terms, |Delta(e_j)| + |Delta(e_k)| per term
-        (j, k) of a Delta(e_i);
+      - the associativity triples evaluated: (i, j) evaluates the k in
+        supp(row j) whose e_j e_k meets supp(row i), at most dim * (nonzero
+        cells) over all (i, j), joined with the supports of the rows x in
+        supp(e_i e_j), at most mult_terms * row_max;
+      - the triples that walk evaluates on the transpose of Delta, taken as
+        2 * comult_terms * comult_max: they are at most comult_terms *
+        (comult_max + first_max), so this holds when first_max <= comult_max,
+        as for every bicrossed product, but is not proved for arbitrary dumps;
       - the comult-multiplicative terms: a term with first leg a1 meets, for
         each a2 in supp(row a1), the at most first_max terms with first
         leg a2, so at most first_max**2 * mult_terms over all terms.
@@ -459,10 +465,9 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
     Hopf algebra.
     """
     field, dim, comult = H.field, H.dim, H.comult
-    products = transpose(H.mult, dim)  # products[k][i] = e_i e_k
 
     def passes(cols) -> bool:
-        return next(_antipode_violations(H, cols, products, {}, {}), None) is None
+        return next(_antipode_violations(H, cols, {}, {}), None) is None
 
     if candidate is not None and passes(candidate):
         return candidate
@@ -473,6 +478,7 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
             f"general-solve cap {SOLVE_DIM_CAP}")
 
     # unknowns S[i, j]; equation rows indexed by (a, m)
+    products = transpose(H.mult, dim)  # products[k][i] = e_i e_k
     rows: dict = {}
     rhs: dict = {}
     for a in range(dim):
@@ -483,11 +489,7 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
         for m, u in H.unit.items():
             rhs[(a, m)] = H.counit[a] * u
 
-    keys = sorted(set(rows) | set(rhs))
-    system = []
-    for key in keys:
-        system.append((rows.get(key, {}), rhs.get(key, field.zero)))
-
+    system = [(rows.get(key, {}), rhs.get(key, field.zero)) for key in sorted(set(rows) | set(rhs))]
     sol = solve_sparse_system(system, field)
     if sol is None:
         return None
@@ -603,22 +605,35 @@ def drinfeld_double(G: PermGroup) -> HopfAlgebra:
     return bicrossed_product(drinfeld_pair(G))
 
 
+def dual_product(H: HopfAlgebra) -> list[dict]:
+    """H*'s product rows, the transpose of Delta: T[j][k] = {i: c} per term
+    (j, k, c) of Delta(e_i), summed, no cell empty, k in first-seen order.
+    The terms of a Delta(e_i) share a cell per coefficient; only read T."""
+    T: list[dict] = [{} for _ in range(H.dim)]
+    for i, terms in enumerate(H.comult):
+        lone: dict = {}  # id(c) -> the cell {i: c}
+        for j, k, c in terms:
+            row, cell = T[j], T[j].get(k)
+            if cell is None:
+                if not c.is_zero():
+                    row[k] = lone.setdefault(id(c), {i: c})
+            else:
+                row[k] = cell = dict(cell)
+                add_term(cell, i, c)
+                if not cell:
+                    del row[k]
+    return T
+
+
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis: all tensors transposed."""
-    field = H.field
-    dim = H.dim
-    mult: list[dict] = [{} for _ in range(dim)]
-    for k in range(dim):
-        for i, j, c in H.comult[k]:
-            add_term(mult[i].setdefault(j, {}), k, c)
-    unit = dict(enumerate(H.counit))
-    comult_d: list[list] = [[] for _ in range(dim)]
+    field, dim = H.field, H.dim
+    comult: list[list] = [[] for _ in range(dim)]
     for i, row in enumerate(H.mult):
         for j, cell in row.items():
             for k, c in cell.items():
-                comult_d[k].append((i, j, c))
-    comult = tuple(tuple(terms) for terms in comult_d)
-    counit = tuple(H.unit.get(i, field.zero) for i in range(dim))
-    antipode = transpose([_nonzero(col) for col in H.antipode], dim)
-    labels = [f"{lab}^" for lab in H.basis_labels]
-    return HopfAlgebra(field, labels, mult, unit, comult, counit, tuple(antipode))
+                comult[k].append((i, j, c))
+    return HopfAlgebra(field, [f"{lab}^" for lab in H.basis_labels], dual_product(H),
+                       dict(enumerate(H.counit)), comult,
+                       [H.unit.get(i, field.zero) for i in range(dim)],
+                       transpose([_nonzero(col) for col in H.antipode], dim))

@@ -39,6 +39,7 @@ from hopfseq.exact import (
     two_sided_ideal,
 )
 from hopfseq.groups import alternating, is_normal, iso_label
+from hopfseq.hopf import HopfAlgebra, verify_hopf_axioms
 from hopfseq.linalg import Echelon, subspace_equal
 from hopfseq.perm import parse_cycles
 
@@ -360,6 +361,29 @@ def test_identify_forms():
     assert identify_group_form(dual_group_algebra(symmetric(3))) is None
     assert identify_dual_form(dual_group_algebra(quaternion8())) is not None
     assert identify_dual_form(group_algebra(quaternion8())) is None
+
+
+def test_identify_forms_refuse_a_unit_or_counit_off_the_identity():
+    # both readers are the group-form reader, on H and on H*: the unit of kS3
+    # and the counit of k^S3 must be the identity's basis vector with
+    # coefficient one, else the unit or counit axiom fails
+    S3 = symmetric(3)
+    H, D = group_algebra(S3), dual_group_algebra(S3)
+    one, zero = H.field.one, H.field.zero
+    e = S3.element_index()[S3.identity()]
+    other = (e + 1) % 6
+
+    def counit(at, c):
+        return [c if i == at else zero for i in range(6)]
+
+    for unit in ({e: one + one}, {other: one}):
+        bad = HopfAlgebra(H.field, H.basis_labels, H.mult, unit, H.comult, H.counit, H.antipode)
+        assert not verify_hopf_axioms(bad).ok
+        assert identify_group_form(bad) is None
+    for eps in (counit(e, one + one), counit(other, one)):
+        bad = HopfAlgebra(D.field, D.basis_labels, D.mult, D.unit, D.comult, eps, D.antipode)
+        assert not verify_hopf_axioms(bad).ok
+        assert identify_dual_form(bad) is None
 
 
 def test_strictly_exact_conditions_double(double_s3):

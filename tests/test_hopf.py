@@ -28,7 +28,7 @@ from hopfseq.hopf import (
     bicrossed_work,
     check_work,
 )
-from hopfseq import io_formats
+from hopfseq import hopf, io_formats
 from hopfseq.io_formats import dump_hopf, load_hopf
 from hopfseq.perm import inverse
 
@@ -196,12 +196,13 @@ def test_report_counts_instances_checked(double_s3):
 
 
 def test_report_counts_instances_evaluated(double_s3):
-    # associativity covers all 36**3 triples and evaluates 36 * 36 * 6: for
-    # every (i, j) the rows of e_j and of e_i e_j share one support of 6
+    # associativity covers all 36**3 triples and evaluates 216 * 6: each of
+    # the 216 nonzero e_i e_j is one e_x, and rows x and j share one support
+    # of 6; for e_i e_j = 0 no e_j e_k meets the support of row i
     report = verify_hopf_axioms(double_s3)
     assert report.checked["associativity"] == 46656
     assert report.evaluated == {
-        "unit-left": 36, "unit-right": 36, "associativity": 7776,
+        "unit-left": 36, "unit-right": 36, "associativity": 1296,
         "counit-left": 36, "counit-right": 36, "coassociativity": 36,
         "comult-unit": 1, "comult-multiplicative": 216, "counit-unit": 1,
         "counit-multiplicative": 216, "antipode-left": 36, "antipode-right": 36,
@@ -211,10 +212,20 @@ def test_report_counts_instances_evaluated(double_s3):
 
 def test_work_bound_matches_counts_and_covers_evaluation(double_s3, monkeypatch):
     # the work load_hopf checks, counted from a dump's indices, agrees with
-    # the closed form, and bounds the pairs and the triples actually evaluated
+    # the closed form, and bounds the pairs and the triples actually
+    # evaluated; the triples of the walk on the transpose of Delta fit in
+    # its coassociativity share, 2 * comult_terms * comult_max
     checked = []
     monkeypatch.setattr(io_formats, "check_work",
                         lambda work, dim, conductor: checked.append(work))
+    walks = []  # the evaluated counts of each walk, H's and then H*'s
+    walk = hopf._walk
+
+    def recorded(*args):
+        walks.append(args[-1])
+        return walk(*args)
+
+    monkeypatch.setattr(hopf, "_walk", recorded)
     S4 = symmetric(4)
     cases = [
         (group_algebra(S4), bicrossed_work(24, 1)),
@@ -227,8 +238,12 @@ def test_work_bound_matches_counts_and_covers_evaluation(double_s3, monkeypatch)
         load_hopf(dump_hopf(H))
         assert checked == [work]
         checked.clear()
+        walks.clear()
         evaluated = verify_hopf_axioms(H).evaluated
         assert H.dim ** 2 + evaluated["associativity"] <= work
+        (h_walk, dual_walk), lengths = walks, [len(terms) for terms in H.comult]
+        assert h_walk is evaluated
+        assert dual_walk["associativity"] <= 2 * sum(lengths) * max(lengths)
 
 
 def test_work_cap_accepts_every_old_size_and_d_s4():

@@ -176,10 +176,12 @@ CASES = (
 
 
 def _corrupted(H, rng):
-    """Copies of H with one retargeted product term, one retargeted comult term
-    and one antipode column given a second entry with a doubled coefficient,
-    so that the verifier's general path runs on multi-term columns and
-    coefficients outside the roots of unity."""
+    """Copies of H with one retargeted product term, one retargeted comult term,
+    one antipode column given a second entry with a doubled coefficient, so
+    that the verifier's general path runs on multi-term columns and
+    coefficients outside the roots of unity, and one comult term (j, k, c)
+    moved from Delta(e_i) to Delta(e_i'): every pair (j, k) still lies in one
+    Delta, and the failures of the dual's walk differ at two coordinates."""
     dim = H.dim
 
     def copy(mult=None, comult=None, antipode=None):
@@ -200,7 +202,13 @@ def _corrupted(H, rng):
     antipode = list(H.antipode)
     (x, v), *_ = H.antipode[j].items()
     antipode[j] = {**H.antipode[j], (x + 1) % dim: v + v}
-    return [copy(mult=mult), copy(comult=comult), copy(antipode=antipode)]
+    i = rng.randrange(dim)
+    to = rng.choice([x for x in range(dim) if x != i])
+    t = rng.randrange(len(H.comult[i]))
+    moved = list(H.comult)
+    moved[i] = H.comult[i][:t] + H.comult[i][t + 1:]
+    moved[to] = (*H.comult[to], H.comult[i][t])
+    return [copy(mult=mult), copy(comult=comult), copy(antipode=antipode), copy(comult=moved)]
 
 
 @pytest.mark.parametrize("name, make", CASES, ids=[name for name, _ in CASES])
