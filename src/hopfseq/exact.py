@@ -712,8 +712,9 @@ def normal_subalgebra_candidates(H: HopfAlgebra) -> list[NormalCandidate]:
 
 def _group_form_with_perms(H: HopfAlgebra):
     one = H.field.one
-    if any(t != ((i, i, one),) or c != one for i, (t, c) in enumerate(zip(H.comult, H.counit))):
-        return None
+    for i, terms in enumerate(H.comult):
+        if terms != ((i, i, one),) or H.counit[i] != one:
+            return None
     return _table_group(H.mult, H.unit)
 
 
@@ -721,22 +722,29 @@ def _dual_form_with_perms(H: HopfAlgebra):
     """k^G = (kG)*: the group-form reader run on H*, whose product is the
     transpose of Delta and whose unit is the counit."""
     one = H.field.one
-    if (len(H.unit) != H.dim or any(not c.is_one() for c in H.unit.values())
-            or any(row != {i: {i: one}} for i, row in enumerate(H.mult))):
+    if len(H.unit) != H.dim or any(not c.is_one() for c in H.unit.values()):
         return None
-    return _table_group(dual_product(H), {i: c for i, c in enumerate(H.counit) if not c.is_zero()})
+    if any(row != {i: {i: one}} for i, row in enumerate(H.mult)):
+        return None
+    counit = {i: c for i, c in enumerate(H.counit) if not c.is_zero()}
+    return _table_group(dual_product(H), counit)
 
 
 def _table_group(rows: list, unit: dict):
     """(the group, its table) when rows and unit are those of kG on the nose:
-    each e_i e_j and the unit are one basis vector with coefficient one (any
-    other cell leaves its table row no permutation), the unit's row is the
-    identity and the rows form a group; None when not."""
+    every e_i e_j and the unit are one basis vector with coefficient one,
+    the unit's row is the identity and the rows form a group; None when not."""
     n = len(rows)
-    table = [tuple(k if c.is_one() else -1 for _, cell in sorted(row.items()) for k, c in cell.items())
-             for row in rows]
-    if (len(unit) != 1 or any(not c.is_one() or table[u] != tuple(range(n)) for u, c in unit.items())
-            or any(sorted(p) != list(range(n)) for p in table)):
+    identity = tuple(range(n))
+    table = []
+    for row in rows:
+        cells = [cell for _, cell in sorted(row.items())]
+        if len(cells) != n or any(len(cell) != 1 for cell in cells):
+            return None
+        table.append(tuple(k if c.is_one() else -1 for cell in cells for k, c in cell.items()))
+    if len(unit) != 1 or any(not c.is_one() or table[u] != identity for u, c in unit.items()):
+        return None
+    if any(tuple(sorted(p)) != identity for p in table):
         return None
     try:
         return from_elements(n, table), table

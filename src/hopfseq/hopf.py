@@ -489,7 +489,11 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
         for m, u in H.unit.items():
             rhs[(a, m)] = H.counit[a] * u
 
-    system = [(rows.get(key, {}), rhs.get(key, field.zero)) for key in sorted(set(rows) | set(rhs))]
+    keys = sorted(set(rows) | set(rhs))
+    system = []
+    for key in keys:
+        system.append((rows.get(key, {}), rhs.get(key, field.zero)))
+
     sol = solve_sparse_system(system, field)
     if sol is None:
         return None
@@ -522,25 +526,10 @@ def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
 
 
 def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
-    """k^G: orthogonal idempotents e_g, Delta(e_g) = sum_{st=g} e_s (x) e_t."""
-    field = get_field(conductor)
-    one = field.one
-    elems = G.elements
-    index = G.element_index()
-    n = len(elems)
-    mult = [{i: {i: one}} for i in range(n)]
-    unit = {i: one for i in range(n)}
-    comult = []
-    for i, g in enumerate(elems):
-        terms = []
-        for s in elems:
-            t = compose(inverse(s), g)
-            terms.append((index[s], index[t], one))
-        comult.append(tuple(terms))
-    counit = tuple(one if elems[i] == G.identity() else field.zero for i in range(n))
-    antipode = tuple({index[inverse(elems[j])]: one} for j in range(n))
-    return HopfAlgebra(field, [f"e[{cycle_string(g)}]" for g in elems], mult, unit,
-                       comult, tuple(counit), antipode)
+    """k^G = (kG)*: orthogonal idempotents e_g, Delta(e_g) = sum_{st=g} e_s (x) e_t."""
+    D = dual_hopf(group_algebra(G, conductor))
+    labels = [f"e[{cycle_string(g)}]" for g in G.elements]
+    return HopfAlgebra(D.field, labels, D.mult, D.unit, D.comult, D.counit, D.antipode)
 
 
 def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
@@ -627,13 +616,15 @@ def dual_product(H: HopfAlgebra) -> list[dict]:
 
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on the dual basis: all tensors transposed."""
-    field, dim = H.field, H.dim
+    field = H.field
+    dim = H.dim
     comult: list[list] = [[] for _ in range(dim)]
     for i, row in enumerate(H.mult):
         for j, cell in row.items():
             for k, c in cell.items():
                 comult[k].append((i, j, c))
-    return HopfAlgebra(field, [f"{lab}^" for lab in H.basis_labels], dual_product(H),
-                       dict(enumerate(H.counit)), comult,
-                       [H.unit.get(i, field.zero) for i in range(dim)],
-                       transpose([_nonzero(col) for col in H.antipode], dim))
+    unit = dict(enumerate(H.counit))
+    counit = tuple(H.unit.get(i, field.zero) for i in range(dim))
+    antipode = transpose([_nonzero(col) for col in H.antipode], dim)
+    labels = [f"{lab}^" for lab in H.basis_labels]
+    return HopfAlgebra(field, labels, dual_product(H), unit, comult, counit, tuple(antipode))

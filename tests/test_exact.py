@@ -39,7 +39,7 @@ from hopfseq.exact import (
     two_sided_ideal,
 )
 from hopfseq.groups import alternating, is_normal, iso_label
-from hopfseq.hopf import HopfAlgebra, verify_hopf_axioms
+from hopfseq.hopf import HopfAlgebra, dual_product, verify_hopf_axioms
 from hopfseq.linalg import Echelon, subspace_equal
 from hopfseq.perm import parse_cycles
 
@@ -366,7 +366,11 @@ def test_identify_forms():
 def test_identify_forms_refuse_a_unit_or_counit_off_the_identity():
     # both readers are the group-form reader, on H and on H*: the unit of kS3
     # and the counit of k^S3 must be the identity's basis vector with
-    # coefficient one, else the unit or counit axiom fails
+    # coefficient one, else the unit or counit axiom fails; and every
+    # product must be one basis vector, also when a product split across two
+    # cells still reads as the group's row (e_a e_j = e_x + e_y, x < y, and
+    # e_a e_(j+1) = 0), or its mirror in k^S3 (the term e_a (x) e_k of a
+    # Delta moved onto the pair (a, k-1) of another)
     S3 = symmetric(3)
     H, D = group_algebra(S3), dual_group_algebra(S3)
     one, zero = H.field.one, H.field.zero
@@ -376,12 +380,24 @@ def test_identify_forms_refuse_a_unit_or_counit_off_the_identity():
     def counit(at, c):
         return [c if i == at else zero for i in range(6)]
 
-    for unit in ({e: one + one}, {other: one}):
-        bad = HopfAlgebra(H.field, H.basis_labels, H.mult, unit, H.comult, H.counit, H.antipode)
+    row = H.mult[other]
+    j = next(j for j in range(5) if min(row[j]) < min(row[j + 1]))
+    split = list(H.mult)
+    split[other] = {**row, j: {min(row[j]): one, min(row[j + 1]): one}}
+    del split[other][j + 1]
+    for unit, mult in (({e: one + one}, H.mult), ({other: one}, H.mult), (H.unit, split)):
+        bad = HopfAlgebra(H.field, H.basis_labels, mult, unit, H.comult, H.counit, H.antipode)
         assert not verify_hopf_axioms(bad).ok
         assert identify_group_form(bad) is None
-    for eps in (counit(e, one + one), counit(other, one)):
-        bad = HopfAlgebra(D.field, D.basis_labels, D.mult, D.unit, D.comult, eps, D.antipode)
+
+    T = dual_product(D)
+    k = next(k for k in range(1, 6) if min(T[other][k - 1]) < min(T[other][k]))
+    (i,) = T[other][k]
+    moved = [list(terms) for terms in D.comult]
+    moved[i] = [(other, k - 1, c) if (x, y) == (other, k) else (x, y, c) for x, y, c in moved[i]]
+    for eps, comult in ((counit(e, one + one), D.comult), (counit(other, one), D.comult),
+                        (D.counit, moved)):
+        bad = HopfAlgebra(D.field, D.basis_labels, D.mult, D.unit, comult, eps, D.antipode)
         assert not verify_hopf_axioms(bad).ok
         assert identify_dual_form(bad) is None
 
