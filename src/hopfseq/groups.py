@@ -11,7 +11,7 @@ maps are orbits read from one breadth-first walk along the generators
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .perm import (
     Perm,
@@ -78,7 +78,7 @@ class PermGroup:
     """A finite permutation group with cached, lexicographically sorted elements."""
 
     __slots__ = ("degree", "generators", "elements", "order", "name", "_hash", "_eset",
-                 "_index")
+                 "_index", "_label")
 
     def __init__(self, degree: int, generators: list[Perm], name: str = "",
                  cap: int = ORDER_CAP, _elements: tuple[Perm, ...] | None = None):
@@ -93,6 +93,7 @@ class PermGroup:
         self._hash = hash((degree, self.elements))
         self._eset: frozenset | None = None
         self._index: dict | None = None
+        self._label: str | None = None
 
     def element_set(self) -> frozenset:
         if self._eset is None:
@@ -307,7 +308,10 @@ def conjugacy_classes(G: PermGroup) -> list[list[Perm]]:
 # Abelian groups are identified outright from their invariant factors.  The
 # nonabelian types needed for the A6/A5 subgroup tables and the order <= 24
 # test sets are told apart by fingerprints of reference groups; anything else
-# reports "order-N unidentified" rather than guessing.
+# reports "order-N unidentified" rather than guessing.  The order is the first
+# field of a fingerprint, so only the references of G's own order are built
+# and fingerprinted, once per order in a process.  The label depends only on
+# the elements, so it is kept on the group and computed once per group.
 
 
 def order_histogram(G: PermGroup) -> tuple[tuple[int, int], ...]:
@@ -429,21 +433,30 @@ def _fingerprint(G: PermGroup) -> tuple:
     return (G.order, order_histogram(G), len(center(G)), abelianization_order(G))
 
 
-@lru_cache(maxsize=1)
-def _reference_fingerprints() -> dict[tuple, str]:
-    refs: list[PermGroup] = []
-    for n in range(3, 13):
-        refs.append(dihedral(n))
-    refs += [symmetric(n) for n in (4, 5, 6)]
-    refs += [alternating(n) for n in (4, 5, 6)]
-    refs.append(quaternion8())
+# Z3xZ3 on the points {1, 2, 3} and {4, 5, 6}
+_E9 = [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]
+
+# (order, builder) of each nonabelian reference group
+_REFERENCES = [(2 * n, partial(dihedral, n)) for n in range(3, 13)] + [
+    (24, partial(symmetric, 4)), (120, partial(symmetric, 5)), (720, partial(symmetric, 6)),
+    (12, partial(alternating, 4)), (60, partial(alternating, 5)),
+    (360, partial(alternating, 6)),
+    (8, quaternion8),
     # the nonabelian order-18 and order-36 types from the A6 subgroup table
-    e9 = [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]
-    refs.append(PermGroup(6, e9 + [(1, 0, 2, 4, 3, 5)], name="(Z3xZ3):Z2"))
-    refs.append(PermGroup(
-        6, e9 + [(0, 2, 1, 3, 5, 4), (3, 4, 5, 0, 2, 1)], name="(Z3xZ3):Z4"))
+    (18, lambda: PermGroup(6, _E9 + [(1, 0, 2, 4, 3, 5)], name="(Z3xZ3):Z2")),
+    (36, lambda: PermGroup(6, _E9 + [(0, 2, 1, 3, 5, 4), (3, 4, 5, 0, 2, 1)],
+                           name="(Z3xZ3):Z4")),
+]
+
+
+@lru_cache(maxsize=None)
+def _reference_fingerprints(order: int) -> dict[tuple, str]:
+    """Fingerprint -> name of the reference groups of this order."""
     table: dict[tuple, str] = {}
-    for R in refs:
+    for n, build in _REFERENCES:
+        if n != order:
+            continue
+        R = build()
         name = "S3" if R.name == "D3" else R.name
         key = _fingerprint(R)
         if key in table and table[key] != name:
@@ -453,12 +466,15 @@ def _reference_fingerprints() -> dict[tuple, str]:
 
 
 def iso_label(G: PermGroup) -> str:
-    if G.order == 1:
-        return "1"
-    if G.is_abelian():
-        return "x".join(f"Z{d}" for d in abelian_invariants(G))
-    label = _reference_fingerprints().get(_fingerprint(G))
-    return label if label is not None else f"order-{G.order} unidentified"
+    if G._label is None:
+        if G.order == 1:
+            G._label = "1"
+        elif G.is_abelian():
+            G._label = "x".join(f"Z{d}" for d in abelian_invariants(G))
+        else:
+            G._label = (_reference_fingerprints(G.order).get(_fingerprint(G))
+                        or f"order-{G.order} unidentified")
+    return G._label
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .groups import (
     prime_factors,
     quotient_group,
 )
-from .perm import parse_cycles
 
 
 class SeriesError(ValueError):
@@ -141,10 +140,13 @@ class WholeAlternatingChain(Strategy):
 
     def decompose_vec(self, G: PermGroup) -> Decomposition | None:
         if iso_label(G) == "S6":
-            from .groups import alternating
-
-            a6 = G.subgroup(list(alternating(6).generators))
-            z2 = G.subgroup([parse_cycles("(1 2)", G.degree)])
+            pts = _moved_points(G, 6)
+            if pts is None:
+                return None
+            d = G.degree
+            # the generators of alternating(6), (1 2 3) and (2 3 4 5 6), on pts
+            a6 = G.subgroup([_cycle(pts[:3], d), _cycle(pts[1:], d)])
+            z2 = G.subgroup([_cycle(pts[:2], d)])
             return self._factorize(G, a6, z2)
         return self._maybe_cyclic(G)
 
@@ -164,24 +166,39 @@ class IteratedChain(WholeAlternatingChain):
 
     def decompose_vec(self, G: PermGroup) -> Decomposition | None:
         label = iso_label(G)
-        d = G.degree
-        if label == "S6":
-            s5 = G.subgroup([parse_cycles("(1 2)", d), parse_cycles("(1 2 3 4 5)", d)])
-            z6 = G.subgroup([parse_cycles("(1 2 3 4 5 6)", d)])
-            return self._factorize(G, s5, z6)
-        if label == "S5":
-            s4 = G.subgroup([parse_cycles("(1 2)", d), parse_cycles("(1 2 3 4)", d)])
-            z5 = G.subgroup([parse_cycles("(1 2 3 4 5)", d)])
-            return self._factorize(G, s4, z5)
-        if label == "S4":
-            s3 = G.subgroup([parse_cycles("(1 2)", d), parse_cycles("(1 2 3)", d)])
-            z4 = G.subgroup([parse_cycles("(1 2 3 4)", d)])
-            return self._factorize(G, s3, z4)
+        if label in ("S4", "S5", "S6"):
+            # S_n = S_(n-1) . Z_n, with S_(n-1) = <(1 2), (1 .. n-1)> and
+            # Z_n = <(1 .. n)> on the moved points
+            n = int(label[1:])
+            pts = _moved_points(G, n)
+            if pts is None:
+                return None
+            d = G.degree
+            top = G.subgroup([_cycle(pts[:2], d), _cycle(pts[:n - 1], d)])
+            return self._factorize(G, top, G.subgroup([_cycle(pts, d)]))
         if label == "S3":
             z3 = G.subgroup([_find_of_order(G, 3)])
             z2 = G.subgroup([_find_of_order(G, 2)])
             return self._factorize(G, z3, z2)
         return self._maybe_cyclic(G)
+
+
+def _moved_points(G: PermGroup, n: int) -> list[int] | None:
+    """The points G moves, in increasing order, when there are exactly n.
+
+    For G labelled S_n that makes G the whole symmetric group on them: it
+    has order n! and acts faithfully on those n points.
+    """
+    points = [i for i in range(G.degree) if any(g[i] != i for g in G.generators)]
+    return points if len(points) == n else None
+
+
+def _cycle(points: list[int], degree: int):
+    """The cycle (points[0] points[1] ...) as a perm of this degree."""
+    images = list(range(degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return tuple(images)
 
 
 def _find_of_order(G: PermGroup, n: int):

@@ -5,14 +5,21 @@ import pytest
 
 from hopfseq import (
     CapExceeded,
+    PermGroup,
     abelianization_order,
+    all_hopf_series_multisets,
+    alternating,
     class_metrics,
     composition_series_group,
+    composition_series_hopf,
     cyclic,
     dihedral,
     direct_product,
+    drinfeld_double,
+    dual_group_algebra,
     elements,
     exact_factorizations,
+    group_algebra,
     iso_label,
     klein_four,
     named_group,
@@ -21,6 +28,7 @@ from hopfseq import (
     subgroup_classes,
     symmetric,
 )
+from hopfseq import groups
 from hopfseq.groups import (
     abelian_invariants,
     all_composition_factor_multisets,
@@ -313,3 +321,89 @@ def test_order_histograms_fingerprint_types():
     assert g36.order == 36
     assert iso_label(g36) == "(Z3xZ3):Z4"
     assert perm_order(parse_cycles("(1 4)(2 5 3 6)", 6)) == 4
+
+
+def _all_references_table() -> dict:
+    """Fingerprint -> name over all 19 reference groups at once: the table
+    iso_label read before its references were built per order."""
+    refs = [dihedral(n) for n in range(3, 13)]
+    refs += [symmetric(n) for n in (4, 5, 6)] + [alternating(n) for n in (4, 5, 6)]
+    refs.append(quaternion8())
+    e9 = [(1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 5, 3)]
+    refs.append(PermGroup(6, e9 + [(1, 0, 2, 4, 3, 5)], name="(Z3xZ3):Z2"))
+    refs.append(PermGroup(6, e9 + [(0, 2, 1, 3, 5, 4), (3, 4, 5, 0, 2, 1)],
+                          name="(Z3xZ3):Z4"))
+    table = {}
+    for R in refs:
+        table[groups._fingerprint(R)] = "S3" if R.name == "D3" else R.name
+    assert len(table) == 19
+    return table
+
+
+def _old_label(G, table) -> str:
+    if G.order == 1:
+        return "1"
+    if G.is_abelian():
+        return "x".join(f"Z{d}" for d in abelian_invariants(G))
+    return table.get(groups._fingerprint(G), f"order-{G.order} unidentified")
+
+
+def _record_fingerprints(monkeypatch) -> list:
+    """Every group fingerprinted from now on, appended to the list returned."""
+    seen = []
+    fingerprint = groups._fingerprint
+
+    def recording(G):
+        seen.append(G)
+        return fingerprint(G)
+
+    monkeypatch.setattr(groups, "_fingerprint", recording)
+    return seen
+
+
+def test_labels_match_the_table_of_all_references(monkeypatch, a6, s6):
+    table = _all_references_table()
+    s6_rows, a6_rows = subgroup_classes(s6), subgroup_classes(a6)
+    assert (len(s6_rows), len(a6_rows)) == (56, 22)
+    for row in s6_rows + a6_rows:
+        assert row.iso_label == _old_label(row.representative, table)
+    g18 = elements([parse_cycles(s, 6) for s in ("(1 2 3)", "(4 5 6)", "(1 2)(4 5)")], 6)
+    g36 = elements([parse_cycles(s, 6) for s in
+                    ("(1 2 3)", "(4 5 6)", "(2 3)(5 6)", "(1 4)(2 5 3 6)")], 6)
+    for G in (g18, g36):
+        assert iso_label(G) == _old_label(G, table)
+
+    # every nonabelian group the Hopf composition series label, as the
+    # library benchmark job runs them
+    labelled = _record_fingerprints(monkeypatch)
+    d = drinfeld_double(symmetric(3))
+    composition_series_hopf(d)
+    composition_series_hopf(d, chooser=lambda cands: list(reversed(cands)))
+    all_hopf_series_multisets(group_algebra(dihedral(6)))
+    all_hopf_series_multisets(dual_group_algebra(alternating(4)))
+    monkeypatch.undo()
+    assert {G.order for G in labelled} >= {6, 12}
+    for G in labelled:
+        assert iso_label(G) == _old_label(G, table)
+
+
+def test_reference_list_declares_each_order():
+    assert len(groups._REFERENCES) == 19
+    for order, build in groups._REFERENCES:
+        assert build().order == order
+    # each order's table builds without a collision and keeps every name
+    orders = {order for order, _ in groups._REFERENCES}
+    assert sum(len(groups._reference_fingerprints(n)) for n in orders) == 19
+
+
+def test_label_builds_own_order_once_per_group(monkeypatch):
+    seen = _record_fingerprints(monkeypatch)
+    groups._reference_fingerprints.cache_clear()
+    G = symmetric(5)
+    assert iso_label(G) == "S5"
+    assert seen and {R.order for R in seen} == {120}
+    seen.clear()
+    assert iso_label(G) == "S5"
+    G.name = "renamed"
+    assert iso_label(G) == "S5"
+    assert seen == []

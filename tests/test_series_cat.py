@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from hopfseq import center, comp_series_cat, cyclic, fpdim, rep_g, symmetric, vec_g
-from hopfseq.groups import alternating
+from hopfseq.groups import PermGroup, alternating
+from hopfseq.perm import parse_cycles
 from hopfseq.series_cat import SeriesError, get_strategy, terminal_certificate
 
 
@@ -96,4 +97,33 @@ def test_no_rule_marks_status():
     g = symmetric(4)
     expr = group_theoretical(g, "1", g.subgroup([g.elements[1]]), None)
     ser = comp_series_cat(expr, "a6")
+    assert ser.terminal_status == ["no-rule-applies"]
+
+
+def _on_points(degree: int, *cycles: str):
+    return PermGroup(degree, [parse_cycles(c, degree) for c in cycles])
+
+
+def test_symmetric_chains_on_moved_points():
+    # S4 on points 2..5, S5 on 2..6 and S6 on 2..7: the chains of the
+    # natural groups, carried onto the points each group moves
+    s4 = _on_points(5, "(2 3 4 5)", "(2 3)")
+    assert comp_series_cat(vec_g(s4), "iterated").factor_names() == [
+        "vect[Z3]", "vect[Z2]", "vect[Z2]", "vect[Z2]"]
+    s5 = _on_points(6, "(2 3 4 5 6)", "(2 3)")
+    assert (comp_series_cat(vec_g(s5), "iterated").factor_names()
+            == comp_series_cat(vec_g(symmetric(5)), "iterated").factor_names())
+    s6 = _on_points(7, "(2 3 4 5 6 7)", "(2 3)")
+    ser = comp_series_cat(vec_g(s6), "a6")
+    assert ser.factor_names() == ["vect[A6]", "vect[Z2]"]
+    assert ser.terminal_status == ["certified-simple", "certified-simple"]
+
+
+def test_symmetric_label_on_more_points_has_no_rule():
+    # PGL(2, 5) acting on the six points of the projective line is S5, but
+    # it moves six points, so no S5 chain applies
+    pgl = _on_points(6, "(1 2 3 4 5)", "(2 3 5 4)", "(1 6)(2 5)")
+    assert pgl.order == 120
+    ser = comp_series_cat(vec_g(pgl), "iterated")
+    assert ser.factor_names() == ["vect[S5]"]
     assert ser.terminal_status == ["no-rule-applies"]
