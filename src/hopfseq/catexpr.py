@@ -15,7 +15,9 @@ from .cocycles import TwoCocycle
 from .groups import CapExceeded, PermGroup, is_prime, iso_label
 from .record import Frozen
 
-# is_prime divides by trial up to the square root: about 0.15 s at this cap
+# the largest p (and q) accepted; is_prime, a deterministic Miller-Rabin,
+# decides far larger n (below groups.MR_BOUND) at once, and the cap is kept
+# so that the same inputs are refused
 PRIME_CAP = 10 ** 12
 
 
@@ -25,7 +27,7 @@ class LedgerError(ValueError):
 
 def _check_primes(*ns: int) -> bool:
     """True when every n is prime; a number above PRIME_CAP is refused
-    (CapExceeded) before any trial division."""
+    (CapExceeded) before any is tested."""
     for n in ns:
         if n > PRIME_CAP:
             raise CapExceeded(f"{n} exceeds the prime cap {PRIME_CAP}")

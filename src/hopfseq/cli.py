@@ -5,6 +5,10 @@ Exit codes: 0 all verifications passed, 1 a verification failed,
 2 parse/usage errors, 3 a size cap was exceeded, 141 (128 + SIGPIPE) the
 reader closed stdout.  All output is byte-deterministic for fixed inputs
 and flags.
+
+Each verb imports the modules it runs when it is called, so a process
+loads only what its verb needs: ``factorize`` never loads the Hopf stack,
+and ``verify hopf`` never loads the categorical modules.
 """
 
 from __future__ import annotations
@@ -15,21 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .catexpr import (
-    CatExpr,
-    LedgerError,
-    center,
-    cpq_category,
-    fpdim,
-    is_integral,
-    is_pointed,
-    rep_g,
-    tambara_yamagami,
-    vec_g,
-)
-from .certificates import a6_simplicity_check, family_simplicity_check
-from .cocycles import trivial_paired_cocycles
-from .exact import make_abelian_sequence, make_group_quotient_sequence, verify_exact_sequence, dualize_sequence
+# the modules of every verb import groups and perm, so these load with the CLI
 from .groups import (
     ORDER_CAP,
     CapExceeded,
@@ -41,27 +31,7 @@ from .groups import (
     prime_factors,
     subgroup_classes,
 )
-from .hopf import (
-    HopfError,
-    bicrossed_product,
-    bicrossed_work,
-    check_conductor,
-    check_work,
-    drinfeld_double,
-    dual_group_algebra,
-    group_algebra,
-    verify_hopf_axioms,
-)
-from .io_formats import (
-    FormatError,
-    dump_group,
-    dump_hopf,
-    load_group,
-    load_hopf,
-)
-from .matched import from_factorization
 from .perm import PermParseError, parse_cycles
-from .series_cat import SeriesError, comp_series_cat
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -79,11 +49,13 @@ class CliError(Exception):
 def _resolve_group(spec: str, cap: int) -> PermGroup:
     path = Path(spec)
     if path.suffix == ".grp" or path.exists():
+        from .io_formats import FormatError, load_group
+
         try:
             return load_group(path.read_text(), name=path.stem, cap=cap)
         except OSError as exc:
             raise CliError(f"cannot read {spec}: {exc}", EXIT_PARSE)
-        except FormatError as exc:
+        except (FormatError, UnicodeDecodeError) as exc:
             raise CliError(f"{spec}: {exc}", EXIT_PARSE)
     try:
         G = named_group(spec, cap)
@@ -97,6 +69,8 @@ def _resolve_group(spec: str, cap: int) -> PermGroup:
 
 
 def _parse_expr(spec: str, cap: int) -> CatExpr:
+    from .catexpr import center, cpq_category, rep_g, tambara_yamagami, vec_g
+
     spec = spec.strip()
     low = spec.lower()
     if low.startswith("center:"):
@@ -197,6 +171,16 @@ def cmd_factorize(args, out) -> int:
 
 
 def _build_algebra(args):
+    from .hopf import (
+        bicrossed_product,
+        bicrossed_work,
+        check_conductor,
+        check_work,
+        drinfeld_double,
+        dual_group_algebra,
+        group_algebra,
+    )
+
     kind = args.kind
     if args.conductor < 1:
         raise CliError(f"--conductor must be at least 1, got {args.conductor}", EXIT_PARSE)
@@ -213,6 +197,9 @@ def _build_algebra(args):
                  "double": drinfeld_double}[kind]
         return build(G)
     if kind == "bicrossed":
+        from .cocycles import trivial_paired_cocycles
+        from .matched import from_factorization
+
         E = _resolve_group(args.target, args.cap_order)
         if not (args.g_gens and args.gamma_gens):
             raise CliError("bicrossed needs --g-gens and --gamma-gens", EXIT_PARSE)
@@ -232,6 +219,9 @@ def _build_algebra(args):
 
 
 def cmd_build(args, out) -> int:
+    from .hopf import verify_hopf_axioms
+    from .io_formats import dump_hopf
+
     H = _build_algebra(args)
     # bicrossed_product (and so drinfeld_double) has verified every family on
     # the tensors it returns, and raises otherwise
@@ -247,11 +237,14 @@ def cmd_build(args, out) -> int:
 
 def cmd_verify(args, out) -> int:
     if args.what == "hopf":
+        from .hopf import verify_hopf_axioms
+        from .io_formats import FormatError, load_hopf
+
         try:
             H = load_hopf(Path(args.target).read_text())
         except OSError as exc:
             raise CliError(str(exc), EXIT_PARSE)
-        except FormatError as exc:
+        except (FormatError, UnicodeDecodeError) as exc:
             raise CliError(f"{args.target}: {exc}", EXIT_PARSE)
         report = verify_hopf_axioms(H)
         if report.ok:
@@ -261,7 +254,16 @@ def cmd_verify(args, out) -> int:
             print(f"FAIL {v}", file=out)
         return EXIT_VERIFY
     if args.what == "sequence":
+        from .exact import (
+            dualize_sequence,
+            make_abelian_sequence,
+            make_group_quotient_sequence,
+            verify_exact_sequence,
+        )
+
         if args.target.startswith("double:"):
+            from .hopf import drinfeld_double
+
             G = _resolve_group(args.target[len("double:"):], args.cap_order)
             seq = make_abelian_sequence(drinfeld_double(G))
         elif args.target.startswith("quotient:"):
@@ -290,6 +292,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_compseries(args, out) -> int:
+    from .series_cat import comp_series_cat
+
     expr = _parse_expr(args.target, args.cap_order)
     if args.chain == "both":
         s1 = comp_series_cat(expr, "a6")
@@ -311,6 +315,8 @@ def cmd_compseries(args, out) -> int:
 
 
 def cmd_certify(args, out) -> int:
+    from .certificates import a6_simplicity_check, family_simplicity_check
+
     target = args.target.lower()
     if target == "a6-simple":
         cert = a6_simplicity_check()
@@ -334,6 +340,8 @@ def cmd_certify(args, out) -> int:
 
 
 def cmd_ledger(args, out) -> int:
+    from .catexpr import fpdim, is_integral, is_pointed
+
     expr = _parse_expr(args.target, args.cap_order)
     print(f"expr: {expr.describe()}", file=out)
     print(f"fpdim: {fpdim(expr)}", file=out)
@@ -343,6 +351,8 @@ def cmd_ledger(args, out) -> int:
 
 
 def cmd_group(args, out) -> int:
+    from .io_formats import dump_group
+
     G = _resolve_group(args.target, args.cap_order)
     if args.output:
         _write_output(args.output, dump_group(G))
@@ -415,12 +425,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# The error classes a verb may end with, by defining module.  Only the
+# classes of modules already in sys.modules are mapped: the verbs import
+# their modules lazily, and a module that was never imported cannot have
+# raised, so the mapping imports nothing.
+_ERRORS = (("io_formats", "FormatError"), ("hopf", "HopfError"),
+           ("catexpr", "LedgerError"), ("series_cat", "SeriesError"))
+
+
+def _loaded_error(module: str, name: str):
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return getattr(mod, name) if mod is not None else None
+
+
+def _handled_errors() -> tuple:
+    loaded = (_loaded_error(module, name) for module, name in _ERRORS)
+    return (CliError, CapExceeded, GroupError, *filter(None, loaded))
+
+
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, CliError):
         return exc.code
     if isinstance(exc, CapExceeded):
         return EXIT_CAP
-    if isinstance(exc, HopfError):
+    hopf_error = _loaded_error("hopf", "HopfError")
+    if hopf_error is not None and isinstance(exc, hopf_error):
         return EXIT_VERIFY
     return EXIT_PARSE
 
@@ -430,8 +459,7 @@ def _run(args, out) -> int:
         if args.cap_order is None:
             args.cap_order = _env_cap()
         return args.func(args, out)
-    except (CliError, CapExceeded, FormatError, GroupError, HopfError, LedgerError,
-            SeriesError) as exc:
+    except _handled_errors() as exc:  # evaluated only once a verb has raised
         print(f"error: {exc}", file=out)
         return _exit_code(exc)
 

@@ -11,12 +11,12 @@ coordinates that scalar, from_rational and inverse return, and sums and
 products of ints stay ints.  A Fraction stays one through later sums and
 products.  An int and the Fraction of the same value are equal and hash
 the same, so scalars compare and hash the same whichever type a coordinate
-has.
+has.  ``fractions`` is imported where a non-integer first appears, so
+arithmetic on integral scalars never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, neg, sub
 
@@ -27,6 +27,8 @@ _ONE = 1
 def _rational(q) -> int | Fraction:
     """q exactly, as an int when it is integral and a Fraction otherwise."""
     if type(q) is not int:
+        from fractions import Fraction
+
         q = Fraction(q)
         if q.denominator == 1:
             return q.numerator
@@ -195,7 +197,11 @@ class CycScalar:
             raise ZeroDivisionError("inverse of zero")
         if self is self.field.one:  # rows scaled by it keep their own scalars
             return self
+        if self.coords[0] in (1, -1) and not any(self.coords[1:]):
+            return self.field.scalar(self.coords)  # 1 and -1 are their own inverses
         # on Fraction copies, so that no division can give a float
+        from fractions import Fraction
+
         d = self.field.degree
         if d == 1:
             return self.field.scalar((1 / Fraction(self.coords[0]),))

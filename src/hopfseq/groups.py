@@ -348,8 +348,38 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# for every n below MR_BOUND, about 3.3e24 (Sorenson and Webster, Math. Comp.
+# 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return prime_factors(n) == [n]
+    """Deterministic Miller-Rabin on the bases _MR_BASES, exact below
+    MR_BOUND; from there on, trial division."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= MR_BOUND:
+        return prime_factors(n) == [n]
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
+    return True
 
 
 def factor_divisors(primes) -> list[tuple[int, int]]:

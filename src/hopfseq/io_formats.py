@@ -5,18 +5,17 @@ round-trips bit-exactly (load(dump(x)) == x structurally, and dumping
 again reproduces the same bytes).  ``load_hopf`` is the one reader of Hopf
 dumps: it refuses a dump whose verification work is above the cap
 (hopf.check_work) from its indices alone, before it reads any scalar.
+
+The Hopf and matched-pair readers import the modules they build with when
+they are called, so reading a group file loads only groups and perm.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from fractions import Fraction
 
-from .cyclotomic import get_field
 from .groups import ORDER_CAP, PermGroup
-from .hopf import HopfAlgebra, check_conductor, check_work, verify_work
-from .linalg import add_term
-from .matched import MatchedPair
 from .perm import PermParseError, cycle_string, parse_cycles
 
 
@@ -72,6 +71,8 @@ def dump_matched_pair(mp: MatchedPair) -> str:
 
 
 def load_matched_pair(text: str) -> MatchedPair:
+    from .matched import MatchedPair
+
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     for i, ln in enumerate(text.splitlines(), start=1):
@@ -150,6 +151,10 @@ _SECTIONS = ("BASIS", "MULT", "COMULT", "UNIT", "COUNIT", "ANTIPODE")
 # section: 'i j : k : coords' in MULT, 'i : j k : coords' in COMULT, ...
 _SHAPES = {"MULT": (2, 1), "COMULT": (1, 2), "UNIT": (1,), "COUNIT": (1,),
            "ANTIPODE": (1, 1)}
+# the coordinate tokens that int() reads to the value Fraction() gives them:
+# a sign and ASCII digits.  Every other token (1/2, 0.5, 1e3, 1_000, ...)
+# goes to Fraction, so the accepted tokens and their values are Fraction's.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def load_hopf(text: str) -> HopfAlgebra:
@@ -162,6 +167,10 @@ def load_hopf(text: str) -> HopfAlgebra:
     is built or any scalar is read.  A CONDUCTOR below 1 is a FormatError,
     one above hopf.CONDUCTOR_CAP a HopfCapExceeded, both from the header.
     """
+    from .cyclotomic import get_field
+    from .hopf import HopfAlgebra, check_conductor, check_work, verify_work
+    from .linalg import add_term
+
     lines = [ln.strip() for ln in text.splitlines()]
     if not lines or lines[0] != "HOPF v1":
         raise FormatError("missing 'HOPF v1' header", 1)
@@ -231,8 +240,13 @@ def load_hopf(text: str) -> HopfAlgebra:
         coords = []
         for tok in tokens:
             try:
-                coords.append(Fraction(tok))
-            except ValueError as exc:
+                if _INTEGER.fullmatch(tok):
+                    coords.append(int(tok))
+                else:
+                    from fractions import Fraction
+
+                    coords.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"bad rational {tok!r}", lno) from exc
         if len(coords) != field.degree:
             raise FormatError(

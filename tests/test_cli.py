@@ -3,15 +3,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
-from hopfseq import cli
 from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from hopfseq.cyclotomic import get_field
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
-from hopfseq import drinfeld_double, group_algebra, hopf, symmetric
-from hopfseq.groups import CapExceeded, alternating
+from hopfseq import drinfeld_double, exact, group_algebra, hopf, symmetric
+from hopfseq.groups import CapExceeded, alternating, cyclic
 from hopfseq.hopf import (
     HOPF_WORK_CAP,
     HopfCapExceeded,
@@ -165,7 +165,7 @@ BAD_INPUTS = [
     (("verify", "hopf", "{COMULT:0 : 50 0 : 1}"), {}, EXIT_PARSE),
     (("verify", "hopf", "{ANTIPODE:0 : x : 1}"), {}, EXIT_PARSE),
     (("verify", "hopf", "{BASIS:zz label}"), {}, EXIT_PARSE),
-    # a prime above the cap is refused before trial division
+    # a prime above the cap is refused before it is tested
     (("ledger", "ty:1000000000000000003"), {}, EXIT_CAP),
     # a conductor below 1, or above CONDUCTOR_CAP before its field is built
     (("verify", "hopf", "{DIM 36:CONDUCTOR 0}"), {}, EXIT_PARSE),
@@ -179,6 +179,11 @@ BAD_INPUTS = [
     # work 20,736 under the cap, but phi(1000)**2 = 160,000 coordinate
     # products in each product of its dense scalars
     (("verify", "hopf", "{DENSE:1000}"), {}, EXIT_CAP),
+    # input files that are not UTF-8 text (bytes are written as they are)
+    (("verify", "hopf", b"HOPF v1\n\xff\n"), {}, EXIT_PARSE),
+    (("factorize", b"degree 3\n(1 2\xff)\n"), {}, EXIT_PARSE),
+    # a coefficient Fraction refuses with ZeroDivisionError, not ValueError
+    (("verify", "hopf", "{ANTIPODE:0 : 0 : 1/0}"), {}, EXIT_PARSE),
 ]
 
 
@@ -209,7 +214,12 @@ def _bad_dump(arg: str, tmp_path) -> str:
     """'{LINE:line}' names a D(S3) dump with the line after LINE replaced by
     line: the first line of a section, or CONDUCTOR after 'DIM 36';
     '{DENSE:N}' names it moved to conductor N with dense scalars, see
-    _dense_dump.  Any other argument is returned as it is."""
+    _dense_dump.  Bytes are written to a file as they are, and its path
+    returned.  Any other argument is returned as it is."""
+    if isinstance(arg, bytes):
+        path = tmp_path / "input"
+        path.write_bytes(arg)
+        return str(path)
     if not arg.startswith("{"):
         return arg
     section, _, line = arg[1:-1].partition(":")
@@ -243,7 +253,7 @@ def test_exit_code_follows_the_error_type_not_its_text(monkeypatch):
     def fail(seq):
         raise HopfError("escaped the capsule")
 
-    monkeypatch.setattr(cli, "verify_exact_sequence", fail)
+    monkeypatch.setattr(exact, "verify_exact_sequence", fail)
     assert run_cli("verify", "sequence", "double:s3") == (EXIT_VERIFY, "error: escaped the capsule\n")
 
 
@@ -381,6 +391,30 @@ def test_hopf_dump_round_trip_bit_exact():
     assert back.structure_equal(H)
     assert back.basis_labels == H.basis_labels
     assert dump_hopf(back) == text
+
+
+# coefficient tokens: integers, which load_hopf reads with int(), and the
+# rest, which it reads with Fraction()
+TOKENS = ["0", "-7", "+7", "007", "-0", "1/2", "-2/4", "0.5", "1e3", "1_000", "x", "1/0",
+          "\u00b2", "\u0663", "--1", "+-1", "9" * 5000, ""]
+
+
+@pytest.mark.parametrize("tok", TOKENS)
+def test_coefficient_tokens_read_as_fraction_reads_them(tok):
+    lines = dump_hopf(group_algebra(cyclic(2))).splitlines()
+    at = lines.index("COUNIT") + 1
+    lines[at] = f"0 : {tok}"
+    text = "\n".join(lines) + "\n"
+    try:
+        want = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        reason = f"bad rational {tok!r}" if tok else "need 1 coordinates, got 0"
+        with pytest.raises(FormatError) as err:
+            load_hopf(text)
+        assert str(err.value) == f"line {at + 1}: {reason}"
+        return
+    (got,) = load_hopf(text).counit[0].coords
+    assert got == want and type(got) is (int if want.denominator == 1 else Fraction)
 
 
 def test_truncated_hopf_dump_names_missing_section():

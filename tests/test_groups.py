@@ -35,7 +35,9 @@ from hopfseq.groups import (
     closure,
     commutator_subgroup,
     conjugacy_classes,
+    is_prime,
     is_simple,
+    prime_factors,
     quotient_group,
     walk,
 )
@@ -407,3 +409,16 @@ def test_label_builds_own_order_once_per_group(monkeypatch):
     G.name = "renamed"
     assert iso_label(G) == "S5"
     assert seen == []
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    # every n below 10**5, n <= 1, Carmichael 561 and strong pseudoprimes to
+    # the first few prime bases (2047 to base 2, 3215031751 to 2..7,
+    # 3474749660383 to 2..13, 341550071728321 to 2..17)
+    cases = [*range(-3, 10 ** 5), 561, 2047, 3215031751, 3474749660383, 341550071728321]
+    assert [n for n in cases if is_prime(n) != (prime_factors(n) == [n])] == []
+    assert not any(map(is_prime, cases[-5:]))
+    # beyond what trial division finishes, still below MR_BOUND
+    assert is_prime(999999999989) and is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1)
+    assert 1000003 * (2 ** 61 - 1) < groups.MR_BOUND
+    assert not is_prime(1000003 * (2 ** 61 - 1))

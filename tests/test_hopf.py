@@ -28,7 +28,7 @@ from hopfseq.hopf import (
     bicrossed_work,
     check_work,
 )
-from hopfseq import hopf, io_formats
+from hopfseq import hopf
 from hopfseq.io_formats import dump_hopf, load_hopf
 from hopfseq.perm import inverse
 
@@ -215,9 +215,6 @@ def test_work_bound_matches_counts_and_covers_evaluation(double_s3, monkeypatch)
     # the closed form, and bounds the pairs and the triples actually
     # evaluated; the triples of the walk on the transpose of Delta fit in
     # its coassociativity share, 2 * comult_terms * comult_max
-    checked = []
-    monkeypatch.setattr(io_formats, "check_work",
-                        lambda work, dim, conductor: checked.append(work))
     walks = []  # the evaluated counts of each walk, H's and then H*'s
     walk = hopf._walk
 
@@ -234,6 +231,10 @@ def test_work_bound_matches_counts_and_covers_evaluation(double_s3, monkeypatch)
         (dual_hopf(double_s3), bicrossed_work(6, 6)),
         (drinfeld_double(quaternion8()), bicrossed_work(8, 8)),
     ]
+    # after the constructions above, which check their own work in hopf
+    checked = []
+    monkeypatch.setattr(hopf, "check_work",
+                        lambda work, dim, conductor: checked.append(work))
     for H, work in cases:
         load_hopf(dump_hopf(H))
         assert checked == [work]

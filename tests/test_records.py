@@ -1,5 +1,6 @@
 """The records keep their value semantics without the dataclass machinery,
-and importing the CLI loads none of that machinery.
+and importing the CLI loads none of that machinery; each CLI verb loads only
+the modules it runs.
 
 The frozen records compare and hash by their fields and refuse assignment;
 the mutable records give each instance its own default container.
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from hopfseq import cyclic, symmetric
+from hopfseq import cyclic, drinfeld_double, dump_group, dump_hopf, symmetric
 from hopfseq.catexpr import CatExpr
 from hopfseq.certificates import SimplicityCertificate
 from hopfseq.cocycles import PairedCocycles, TwoCocycle, trivial_paired_cocycles
@@ -130,6 +131,49 @@ def _modules_after(statement: str) -> set[str]:
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against a bare interpreter, so that what site preloads does not count
-    added = _modules_after("import hopfseq.cli") - _modules_after("pass")
-    assert "hopfseq.exact" in added
+    bare = _modules_after("pass")
+    added = _modules_after("import hopfseq.cli") - bare
+    # the CLI loads the modules of a verb inside the verb
+    assert {m for m in added if m.startswith("hopfseq")} == {
+        "hopfseq", "hopfseq.cli", "hopfseq.groups", "hopfseq.perm"}, sorted(added)
+    # every public name, so every hopfseq module
+    added = _modules_after("import hopfseq.cli\nfrom hopfseq import *") - bare
+    assert "hopfseq.exact" in added and "hopfseq.series_cat" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    s5 = tmp_path / "S5.grp"
+    s5.write_text(dump_group(symmetric(5)))
+    ds3 = tmp_path / "ds3.hopf"
+    ds3.write_text(dump_hopf(drinfeld_double(symmetric(3))))
+
+    def loaded(*argv):
+        return _modules_after("import io\nfrom hopfseq.cli import main\n"
+                              f"assert main({list(argv)!r}, out=io.StringIO()) == 0")
+
+    after = loaded("factorize", str(s5))
+    assert "hopfseq.io_formats" in after
+    assert not after & {"hopfseq.hopf", "hopfseq.exact", "hopfseq.cyclotomic", "hopfseq.linalg",
+                        "hopfseq.matched", "hopfseq.catexpr", "hopfseq.certificates",
+                        "hopfseq.series_cat", "fractions"}
+    for argv in (("verify", "hopf", str(ds3)), ("build", "double", "s3")):
+        after = loaded(*argv)
+        assert "hopfseq.hopf" in after
+        assert not after & {"fractions", "hopfseq.exact"}, argv
+    # the pivots its eliminations invert are 1 and -1, their own inverses
+    assert "fractions" not in loaded("verify", "sequence", "double:s3")
+
+
+def test_public_names_are_the_defining_modules_objects():
+    import hopfseq
+
+    listed = dir(hopfseq)
+    for name in hopfseq.__all__:
+        obj = getattr(hopfseq, name)
+        module = sys.modules[obj.__module__]
+        assert obj.__module__.startswith("hopfseq.") and getattr(module, name) is obj
+        assert name in listed
+    assert len(set(hopfseq.__all__)) == len(hopfseq.__all__)
+    with pytest.raises(AttributeError):
+        hopfseq.no_such_name
