@@ -4,7 +4,9 @@ Covers element closure, conjugacy classes of elements and of subgroups,
 normalizers, abelianization orders, composition series, normal subgroups
 and exact factorizations.  Closures, element classes and the quotient
 maps are orbits read from one breadth-first walk along the generators
-(``walk``).  Everything is exhaustive and exact; sizes are capped
+(``walk``).  One normal closure (``normal_closure``) grows every normal
+subgroup: the commutator subgroup, the normal subgroups and simplicity
+come from it.  Everything is exhaustive and exact; sizes are capped
 (default 10,000 elements for closures, 1,000 for subgroup lattices).
 """
 
@@ -163,9 +165,21 @@ def trivial_group(degree: int = 1) -> PermGroup:
 # builtin groups
 
 
+def _refuse_past_cap(factors, cap: int) -> None:
+    """Refuse a builder's group, its order the product of ``factors``, before
+    any perm is built, as ``walk`` would past cap.  Reads only the factors it
+    needs, so a huge n! is never formed."""
+    order = 1
+    for f in factors:
+        order *= f
+        if order > max(cap, 1):
+            raise CapExceeded(f"group order exceeds cap {cap}")
+
+
 def cyclic(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n == 1:
         return trivial_group()
+    _refuse_past_cap([n], cap)
     return PermGroup(n, [tuple(range(1, n)) + (0,)], name=f"Z{n}", cap=cap)
 
 
@@ -174,6 +188,7 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> PermGroup:
         return trivial_group(max(n, 1))
     if n == 2:
         return PermGroup(2, [(1, 0)], name="S2")
+    _refuse_past_cap(range(2, n + 1), cap)
     gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
     return PermGroup(n, gens, name=f"S{n}", cap=cap)
 
@@ -181,6 +196,7 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> PermGroup:
 def alternating(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n <= 2:
         return trivial_group(max(n, 1))
+    _refuse_past_cap(range(3, n + 1), cap)
     cyc3 = (1, 2, 0) + tuple(range(3, n))
     if n % 2:
         big = tuple(range(1, n)) + (0,)
@@ -193,6 +209,7 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> PermGroup:
     """Dihedral group of order 2n acting on an n-gon."""
     if n < 3:
         raise GroupError("dihedral needs n >= 3")
+    _refuse_past_cap([2, n], cap)
     rot = tuple(range(1, n)) + (0,)
     refl = tuple((n - i) % n for i in range(n))
     return PermGroup(n, [rot, refl], name=f"D{n}", cap=cap)
@@ -220,6 +237,7 @@ def direct_product(A: PermGroup, B: PermGroup, name: str = "",
 
 def abelian_group(invariants: list[int], cap: int = ORDER_CAP) -> PermGroup:
     """Direct product of cyclic groups of the given orders."""
+    _refuse_past_cap(invariants, cap)
     G = cyclic(invariants[0], cap)
     for n in invariants[1:]:
         G = direct_product(G, cyclic(n, cap), cap=cap)
@@ -237,29 +255,18 @@ def center(G: PermGroup) -> list[Perm]:
             if all(compose(g, x) == compose(x, g) for g in gens)]
 
 
-def commutator_subgroup(G: PermGroup) -> PermGroup:
-    """Derived subgroup G', as the normal closure of the generator commutators.
-
-    Once the generators of G commute modulo a normal N, G/N is abelian, so G'
-    is the least normal subgroup holding every [a, b] = a b a^-1 b^-1 with a,
-    b generators of G.  The closure of those commutators grows by each
-    conjugate g n g^-1 (g a generator of G, n a generator found so far) that
-    falls outside it, until none does; then it is normal.
+def normal_closure(G: PermGroup, gens) -> PermGroup:
+    """The least normal subgroup of G holding ``gens``: their closure grows by
+    each conjugate g n g^-1 (g a generator of G, n a generator found so far)
+    that falls outside it, until none does; then it is normal.
     """
-    e = G.identity()
-    gens = G.generators
-    ngens: list[Perm] = []
-    for a in gens:
-        for b in gens:
-            c = compose(compose(a, b), compose(inverse(a), inverse(b)))
-            if c != e and c not in ngens:
-                ngens.append(c)
+    ngens = list(gens)
     elems = closure(ngens, G.degree, cap=G.order)
     eset = set(elems)
     todo = list(ngens)
     while todo:
         n = todo.pop()
-        for g in gens:
+        for g in G.generators:
             c = conjugate(g, n)
             if c not in eset:
                 ngens.append(c)
@@ -267,6 +274,20 @@ def commutator_subgroup(G: PermGroup) -> PermGroup:
                 elems = closure(ngens, G.degree, cap=G.order)
                 eset = set(elems)
     return PermGroup(G.degree, ngens, _elements=elems)
+
+
+def commutator_subgroup(G: PermGroup) -> PermGroup:
+    """Derived subgroup G', as the normal closure of the generator commutators.
+
+    Once the generators of G commute modulo a normal N, G/N is abelian, so G'
+    is the least normal subgroup holding every [a, b] = a b a^-1 b^-1 with a,
+    b generators of G.
+    """
+    gens = G.generators
+    commutators = dict.fromkeys(compose(compose(a, b), compose(inverse(a), inverse(b)))
+                                for a in gens for b in gens)
+    commutators.pop(G.identity(), None)
+    return normal_closure(G, list(commutators))
 
 
 def abelianization_order(G: PermGroup) -> int:
@@ -277,10 +298,7 @@ def class_metrics(G: PermGroup, T: PermGroup) -> tuple[int, int, int]:
     """(normalizer index [N_G(T):T], |T/[T,T]|, |Z(T)|) by exhaustive search."""
     if not G.is_subgroup(T):
         raise GroupError("T is not a subgroup of G")
-    tset = T.element_set()
-    nsize = sum(1 for g in G.elements
-                if all(conjugate(g, t) in tset for t in T.elements))
-    return nsize // T.order, abelianization_order(T), len(center(T))
+    return normalizer(G, T).order // T.order, abelianization_order(T), len(center(T))
 
 
 def normalizer(G: PermGroup, T: PermGroup) -> PermGroup:
@@ -357,14 +375,14 @@ MR_BOUND = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the bases _MR_BASES, exact below
-    MR_BOUND; from there on, trial division."""
+    MR_BOUND; from there on CapExceeded, unless a base divides n."""
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n >= MR_BOUND:
-        return prime_factors(n) == [n]
+        raise CapExceeded(f"primality is decided only below {MR_BOUND}")
     d, s = n - 1, 0
     while not d & 1:
         d >>= 1
@@ -403,60 +421,31 @@ def divisors(n: int) -> list[int]:
     return [d for d, _ in factor_divisors(primes)]
 
 
-def _p_part(n: int, p: int) -> int:
-    m = 1
-    while n % p == 0:
-        n //= p
-        m *= p
-    return m
-
-
 def abelian_invariants(G: PermGroup) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of an abelian group.
 
-    The Sylow type at each prime p is recovered from the counts of elements
-    of order dividing p^i (those counts are p-powers and determine the
-    partition).
+    At each prime p, if p^k times as many elements have order dividing p^i
+    as dividing p^(i-1), then k of the cyclic p-power factors have order at
+    least p^i.  The j-th largest invariant factor is the product over p of
+    the j-th largest p-power factors.
     """
     if not G.is_abelian():
         raise GroupError("abelian_invariants needs an abelian group")
-    if G.order == 1:
-        return ()
-    n = G.order
-    e = G.identity()
-    primary: dict[int, list[int]] = {}
-    for p in prime_factors(n):
-        sums = []  # sums[i-1] = sum_j min(lambda_j, i)
-        i = 1
-        while True:
-            cnt = sum(1 for x in G.elements if pow_perm(x, p ** i) == e)
-            expo = 0
-            while cnt > 1:
-                cnt //= p
-                expo += 1
-            sums.append(expo)
-            if p ** expo == _p_part(n, p):
-                break
-            i += 1
-        parts: list[int] = []
-        prev = 0
-        for i, s in enumerate(sums, start=1):
-            count_ge_i = s - prev  # number of parts >= i
-            prev = s
-            while len(parts) < count_ge_i:
-                parts.append(0)
-            for j in range(count_ge_i):
-                parts[j] = i
-        primary[p] = sorted((p ** a for a in parts if a), reverse=True)
-    width = max(len(v) for v in primary.values())
-    factors = []
-    for i in range(width):
-        d = 1
-        for parts in primary.values():
-            if i < len(parts):
-                d *= parts[i]
-        factors.append(d)
-    return tuple(sorted(factors))
+    orders = order_histogram(G)
+    # |G| has fewer than bit_length prime factors, so fewer invariant
+    # factors, and p^i for i below it runs past the p-part of |G|
+    largest = [1] * G.order.bit_length()
+    for p in prime_factors(G.order):
+        below = 1  # the elements of order dividing p^(i-1)
+        for i in range(1, G.order.bit_length()):
+            count = sum(c for o, c in orders if p ** i % o == 0)
+            ratio, j = count // below, 0
+            while ratio > 1:
+                largest[j] *= p
+                ratio //= p
+                j += 1
+            below = count
+    return tuple(sorted(d for d in largest if d > 1))
 
 
 def _fingerprint(G: PermGroup) -> tuple:
@@ -723,21 +712,21 @@ def subgroup_classes(G: PermGroup, cap: int = SUBGROUP_CAP) -> list[SubgroupClas
 
 @lru_cache(maxsize=64)
 def normal_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
-    """All normal subgroups, via joins of element conjugacy classes."""
-    classes = conjugacy_classes(G)
+    """All normal subgroups: each is the join of the classes it holds, and
+    the normal closure of a class's least member holds the whole class."""
     e = G.identity()
-    # each subgroup found, with the conjugacy classes that generate it
+    reps = [cls[0] for cls in conjugacy_classes(G) if cls[0] != e]
+    # each subgroup found, with the class members whose normal closure it is
     found: dict[frozenset, list[Perm]] = {frozenset([e]): []}
     frontier = [frozenset([e])]
     while frontier:
         new: list[frozenset] = []
         for base in frontier:
-            for cls in classes:
-                if cls[0] == e or cls[0] in base:
+            for x in reps:
+                if x in base:
                     continue
-                # a subgroup generated by full conjugacy classes is normal
-                gens = found[base] + cls
-                sub = frozenset(closure(gens, G.degree, cap=G.order))
+                gens = found[base] + [x]
+                sub = normal_closure(G, gens).element_set()
                 if sub not in found:
                     found[sub] = gens
                     new.append(sub)
@@ -808,7 +797,10 @@ def all_composition_factor_multisets(G: PermGroup) -> set[tuple[str, ...]]:
 
 
 def is_simple(G: PermGroup) -> bool:
-    return G.order > 1 and len(normal_subgroups(G)) == 2
+    """G is not 1 and each class's least member has normal closure G."""
+    e = G.identity()
+    return G.order > 1 and all(normal_closure(G, [cls[0]]).order == G.order
+                               for cls in conjugacy_classes(G) if cls[0] != e)
 
 
 # ---------------------------------------------------------------------------
@@ -902,7 +894,8 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
 def named_group(name: str, cap: int = ORDER_CAP) -> PermGroup:
     """Resolve CLI-style group names: a6, s5, z12, d4, q8, v4, z2xz4, ...
 
-    Groups built by closure stop at ``cap`` elements (CapExceeded)."""
+    A group built by closure whose order is above ``cap`` is refused
+    (CapExceeded) before any perm is built."""
     key = name.strip().lower()
     if key in ("1", "triv", "trivial"):
         return trivial_group()

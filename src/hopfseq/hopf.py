@@ -15,18 +15,18 @@ j and k, with no zero coefficient.  Axioms are verified exhaustively over
 basis tuples with zero tolerance; one walk checks unit and associativity
 on the rows of mult, and counit and coassociativity on those of the dual,
 the transpose of Delta.  The antipode is obtained by solving the
-defining linear system when no verified closed form applies.
+defining linear system when no verified closed form applies.  The
+constructors import the matched-pair and cocycle modules when called, so
+reading and verifying a dump loads neither.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .cocycles import PairedCocycles, trivial_paired_cocycles
 from .cyclotomic import CycField, CycScalar, get_field
 from .groups import CapExceeded, PermGroup, prime_factors
 from .linalg import Vec, add_term, rank_of_columns, solve_sparse_system, transpose
-from .matched import MatchedPair, drinfeld_pair
 from .perm import compose, cycle_string, inverse
 from .record import Frozen
 
@@ -542,6 +542,8 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     The pair (sigma, tau) is accepted exactly when the result passes full
     axiom verification; failures raise with the first failing instance.
     """
+    from .cocycles import trivial_paired_cocycles
+
     G, Gamma = mp.G, mp.Gamma
     dim = G.order * Gamma.order
     conductor = conductor or (1 if cocycles is None else cocycles.conductor)
@@ -590,6 +592,8 @@ def drinfeld_double(G: PermGroup) -> HopfAlgebra:
     """D(G): the bicrossed product over (G, G), adjoint <| and trivial |>.
 
     The cap is checked before the pair's |G|^2 action entries are built."""
+    from .matched import drinfeld_pair
+
     check_work(bicrossed_work(G.order, G.order), G.order ** 2, 1)
     return bicrossed_product(drinfeld_pair(G))
 

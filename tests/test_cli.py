@@ -184,6 +184,11 @@ BAD_INPUTS = [
     (("factorize", b"degree 3\n(1 2\xff)\n"), {}, EXIT_PARSE),
     # a coefficient Fraction refuses with ZeroDivisionError, not ValueError
     (("verify", "hopf", "{ANTIPODE:0 : 0 : 1/0}"), {}, EXIT_PARSE),
+    # a degree above DEGREE_CAP, refused before any perm is parsed; one with
+    # more digits than int() reads; a superscript digit int() does not read
+    (("factorize", b"degree 10000000\n(1 2)\n"), {}, EXIT_CAP),
+    (("factorize", b"degree " + b"9" * 5000 + b"\n(1 2)\n"), {}, EXIT_CAP),
+    (("factorize", "degree \u00b2\n(1 2)\n".encode()), {}, EXIT_PARSE),
 ]
 
 

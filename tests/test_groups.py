@@ -250,6 +250,29 @@ def test_normal_subgroups_and_simplicity(a6, s6):
     assert not is_simple(s6)
 
 
+def _normal_reference(G):
+    """Oracle: the subgroup classes of G with exactly one conjugate."""
+    return sorted((r.conjugates[0] for r in subgroup_classes(G) if len(r.conjugates) == 1),
+                  key=lambda s: (len(s), sorted(s)))
+
+
+def test_normal_subgroups_and_simplicity_against_subgroup_classes(a6, s6):
+    s3, s4 = symmetric(3), symmetric(4)
+    for G in (s3, s4, symmetric(5), alternating(4), alternating(5), a6, s6, dihedral(6),
+              quaternion8(), direct_product(s3, s3), direct_product(s4, cyclic(2)),
+              direct_product(alternating(4), cyclic(3))):
+        reference = _normal_reference(G)
+        assert [N.element_set() for N in normal_subgroups(G)] == reference, G
+        assert is_simple(G) == (len(reference) == 2), G
+
+
+def test_simplicity_above_the_subgroup_cap():
+    # orders 2520 and 5040, where subgroup_classes refuses to run
+    assert alternating(7).order > groups.SUBGROUP_CAP
+    assert is_simple(alternating(7))
+    assert not is_simple(symmetric(7))
+
+
 def test_quotient_group():
     s4 = symmetric(4)
     v4 = s4.subgroup([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)])
@@ -308,6 +331,18 @@ def test_named_group():
     assert named_group("q8").order == 8
     with pytest.raises(Exception):
         named_group("nosuch")
+
+
+def test_named_group_past_its_cap_is_refused_unbuilt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a perm was built")
+
+    monkeypatch.setattr(groups, "closure", refuse)
+    for name in ("z20000", "d10001", "s20000", "a99999999999", "z200xz200", "z2xz20000"):
+        with pytest.raises(CapExceeded, match="^group order exceeds cap 10000$"):
+            named_group(name)
+    with pytest.raises(CapExceeded, match="^group order exceeds cap 100$"):
+        named_group("s5", cap=100)
 
 
 def test_subgroup_cap():
@@ -422,3 +457,12 @@ def test_miller_rabin_agrees_with_trial_division():
     assert is_prime(999999999989) and is_prime(10 ** 18 + 3) and is_prime(2 ** 61 - 1)
     assert 1000003 * (2 ** 61 - 1) < groups.MR_BOUND
     assert not is_prime(1000003 * (2 ** 61 - 1))
+
+
+def test_is_prime_refuses_from_mr_bound_on():
+    n = (2 ** 31 - 1) * (2 ** 61 - 1)
+    assert n >= groups.MR_BOUND
+    with pytest.raises(CapExceeded):
+        is_prime(n)
+    # a base that divides n still decides it
+    assert not is_prime(2 * groups.MR_BOUND)

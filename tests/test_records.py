@@ -161,6 +161,8 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
         after = loaded(*argv)
         assert "hopfseq.hopf" in after
         assert not after & {"fractions", "hopfseq.exact"}, argv
+    # a dump is read and verified without the constructors' modules
+    assert not loaded("verify", "hopf", str(ds3)) & {"hopfseq.cocycles", "hopfseq.matched"}
     # the pivots its eliminations invert are 1 and -1, their own inverses
     assert "fractions" not in loaded("verify", "sequence", "double:s3")
 
