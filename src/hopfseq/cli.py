@@ -47,15 +47,17 @@ class CliError(Exception):
 
 
 def _resolve_group(spec: str, cap: int) -> PermGroup:
+    """A group file when ``spec`` ends in .grp or names a file, else a builtin
+    name: a directory, or the working directory that Path("") is, never
+    shadows a name."""
     path = Path(spec)
-    if path.suffix == ".grp" or path.exists():
+    # os.path.isfile, unlike Path.is_file, is False for a name too long to be a path
+    if path.suffix == ".grp" or os.path.isfile(spec):
         from .io_formats import FormatError, load_group
 
         try:
-            return load_group(path.read_text(), name=path.stem, cap=cap)
-        except OSError as exc:
-            raise CliError(f"cannot read {spec}: {exc}", EXIT_PARSE)
-        except (FormatError, UnicodeDecodeError) as exc:
+            return load_group(_read_input(spec), name=path.stem, cap=cap)
+        except FormatError as exc:
             raise CliError(f"{spec}: {exc}", EXIT_PARSE)
     try:
         G = named_group(spec, cap)
@@ -102,10 +104,19 @@ def _parse_ints(text: str, count: int) -> list[int]:
     return nums
 
 
+def _read_input(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_PARSE)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE)
+
+
 def _write_output(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_PARSE)
 
 
@@ -241,10 +252,8 @@ def cmd_verify(args, out) -> int:
         from .io_formats import FormatError, load_hopf
 
         try:
-            H = load_hopf(Path(args.target).read_text())
-        except OSError as exc:
-            raise CliError(str(exc), EXIT_PARSE)
-        except (FormatError, UnicodeDecodeError) as exc:
+            H = load_hopf(_read_input(args.target))
+        except FormatError as exc:
             raise CliError(f"{args.target}: {exc}", EXIT_PARSE)
         report = verify_hopf_axioms(H)
         if report.ok:
@@ -460,7 +469,8 @@ def _run(args, out) -> int:
             args.cap_order = _env_cap()
         return args.func(args, out)
     except _handled_errors() as exc:  # evaluated only once a verb has raised
-        print(f"error: {exc}", file=out)
+        # a message may echo a line break of its input; it stays one line
+        print("error: " + "\\n".join(str(exc).splitlines()), file=out)
         return _exit_code(exc)
 
 

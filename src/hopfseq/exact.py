@@ -10,6 +10,12 @@ of normal subgroups, dual function algebras of quotients, the canonical
 copy of k^Gamma inside a bicrossed product, and the group-like copy of
 kG when the actions allow it.  Candidates are always re-verified before
 use; no completeness is claimed outside these shapes.
+
+A split forms its quotient with the generic ``hopf_cokernel``, which gives
+k[G/N] and k^N on the nose in group and dual form.  Only the quotients of
+a bicrossed product by i(k^[Gamma/N]), N != 1, and by 1#k[M] are built from
+the restricted or induced matched pair instead: they carry the
+BicrossedOrigin tag, by which the series can split them again.
 """
 
 from __future__ import annotations
@@ -518,7 +524,7 @@ class NormalCandidate:
                  algebra: HopfAlgebra | None = None):
         self.sub = sub
         self.note = note
-        self.quotient_factory = quotient_factory  # () -> (HopfAlgebra, proj cols) or None
+        self.quotient_factory = quotient_factory  # () -> (bicrossed quotient, cols) or None
         self.algebra = algebra                    # sub in its own basis, once verified
 
     def canonical(self) -> tuple:
@@ -546,17 +552,9 @@ def _candidates_group_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[N
         if N.order in (1, Gq.order):
             continue
         vectors = [{i: one} for i, p in enumerate(perms) if p in N]
-
-        def factory(Ngrp=N):
-            Q, proj = quotient_group(Gq, Ngrp)
-            template = group_algebra(Q, conductor=H.field.conductor)
-            q_index = Q.element_index()
-            return template, [{q_index[proj[p]]: one} for p in perms]
-
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"k[{iso_label(N)}]"),
-            note=f"group algebra of normal subgroup {iso_label(N)}",
-            quotient_factory=factory))
+            note=f"group algebra of normal subgroup {iso_label(N)}"))
     return out
 
 
@@ -568,16 +566,9 @@ def _candidates_dual_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[No
             continue
         # coset indicator functions span k^(Gamma/N)
         vectors = _coset_indicators(Gq, N, enumerate(perms), one)
-
-        def factory(Ngrp=N):
-            template = dual_group_algebra(Ngrp, conductor=H.field.conductor)
-            n_index = Ngrp.element_index()
-            return template, [{n_index[p]: one} if p in n_index else {} for p in perms]
-
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"k^[{iso_label(Gq)}/{iso_label(N)}]"),
-            note=f"functions on quotient by {iso_label(N)}",
-            quotient_factory=factory))
+            note=f"functions on quotient by {iso_label(N)}"))
     return out
 
 
@@ -644,9 +635,6 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
         vectors = _coset_indicators(Gamma, N, placed, one)
 
         def factory(Ngrp=N):
-            if Ngrp.order == 1:
-                seq = make_abelian_sequence(H)
-                return seq.h_doubleprime, list(seq.pi.cols)
             sub = _restricted_pair(mp, Ngrp)
             if sub is None:
                 return None
@@ -657,7 +645,7 @@ def _candidates_bicrossed(H: HopfAlgebra) -> list[NormalCandidate]:
         out.append(NormalCandidate(
             sub=span_subalgebra(H, vectors, note=f"i(k^[{iso_label(Gamma)}/{iso_label(N)}])"),
             note="canonical function-algebra part",
-            quotient_factory=factory))
+            quotient_factory=factory if N.order > 1 else None))
 
     for M in normal_subgroups(G):
         if M.order == 1:
@@ -764,9 +752,10 @@ _FORMS = (("group", _group_form_with_perms, _candidates_group_form),
 def _split_along(H: HopfAlgebra, cand: NormalCandidate):
     """(standalone subalgebra, quotient, projection) for a verified candidate.
 
-    Prefers the candidate's quotient template (verified: Hopf map, onto,
-    kernel equal to the generated ideal); falls back to the generic
-    pivot-basis cokernel.
+    A bicrossed candidate's quotient template, a bicrossed product tagged
+    with its origin so that it can be split again, is used when it passes
+    its checks (Hopf map, onto, kernel equal to the generated ideal); every
+    other quotient is the generic pivot-basis cokernel.
     """
     sub_alg = cand.algebra
     inclusion = HopfMorphism(sub_alg, H, list(cand.sub.basis))

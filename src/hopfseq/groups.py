@@ -7,7 +7,8 @@ maps are orbits read from one breadth-first walk along the generators
 (``walk``).  One normal closure (``normal_closure``) grows every normal
 subgroup: the commutator subgroup, the normal subgroups and simplicity
 come from it.  Everything is exhaustive and exact; sizes are capped
-(default 10,000 elements for closures, 1,000 for subgroup lattices).
+(default 10,000 elements and 10^7 perm entries for closures, 1,000
+elements for subgroup lattices).
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from .perm import (
 
 ORDER_CAP = 10_000
 SUBGROUP_CAP = 1_000
+# The perm entries a group holds, its degree times its order: a closure's
+# memory grows as their product, which neither cap above bounds.  Z3162
+# (9,998,244 entries) takes 1.3 s and 92 MB peak RSS for `hopfseq group`,
+# and the regular A7 of A7/1 (6,350,400) 0.6 s and 77 MB; Z10000 (10^8)
+# took 17 s and 780 MB.  Measured on 2 CPUs, Python 3.11.7.
+ENTRY_CAP = 10_000_000
 
 
 class CapExceeded(RuntimeError):
@@ -60,8 +67,16 @@ def walk(seed, gens, step, cap: int | None = None) -> list[tuple]:
 
 
 def closure(generators: list[Perm], degree: int, cap: int = ORDER_CAP) -> tuple[Perm, ...]:
-    """Close a generator list under products; returns sorted element tuple."""
-    return tuple(sorted([y for y, _, _ in walk(identity(degree), generators, compose, cap)]))
+    """Close a generator list under products; returns sorted element tuple.
+    Past ``cap`` elements, or past ENTRY_CAP perm entries, raises CapExceeded."""
+    room = ENTRY_CAP // max(degree, 1)
+    try:
+        tree = walk(identity(degree), generators, compose, min(cap, room))
+    except CapExceeded:
+        if room < cap:
+            raise CapExceeded(f"group degree x order exceeds cap {ENTRY_CAP}") from None
+        raise
+    return tuple(sorted([y for y, _, _ in tree]))
 
 
 def small_generating_set(elems: tuple[Perm, ...], degree: int) -> list[Perm]:
@@ -165,21 +180,23 @@ def trivial_group(degree: int = 1) -> PermGroup:
 # builtin groups
 
 
-def _refuse_past_cap(factors, cap: int) -> None:
+def _refuse_past_cap(factors, cap: int, degree: int) -> None:
     """Refuse a builder's group, its order the product of ``factors``, before
-    any perm is built, as ``walk`` would past cap.  Reads only the factors it
-    needs, so a huge n! is never formed."""
+    any perm is built, as ``closure`` would past cap.  Reads only the factors
+    it needs, so a huge n! is never formed."""
     order = 1
     for f in factors:
         order *= f
         if order > max(cap, 1):
             raise CapExceeded(f"group order exceeds cap {cap}")
+    if degree * order > ENTRY_CAP:
+        raise CapExceeded(f"group degree x order exceeds cap {ENTRY_CAP}")
 
 
 def cyclic(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n == 1:
         return trivial_group()
-    _refuse_past_cap([n], cap)
+    _refuse_past_cap([n], cap, n)
     return PermGroup(n, [tuple(range(1, n)) + (0,)], name=f"Z{n}", cap=cap)
 
 
@@ -188,7 +205,7 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> PermGroup:
         return trivial_group(max(n, 1))
     if n == 2:
         return PermGroup(2, [(1, 0)], name="S2")
-    _refuse_past_cap(range(2, n + 1), cap)
+    _refuse_past_cap(range(2, n + 1), cap, n)
     gens = [tuple(range(1, n)) + (0,), (1, 0) + tuple(range(2, n))]
     return PermGroup(n, gens, name=f"S{n}", cap=cap)
 
@@ -196,7 +213,7 @@ def symmetric(n: int, cap: int = ORDER_CAP) -> PermGroup:
 def alternating(n: int, cap: int = ORDER_CAP) -> PermGroup:
     if n <= 2:
         return trivial_group(max(n, 1))
-    _refuse_past_cap(range(3, n + 1), cap)
+    _refuse_past_cap(range(3, n + 1), cap, n)
     cyc3 = (1, 2, 0) + tuple(range(3, n))
     if n % 2:
         big = tuple(range(1, n)) + (0,)
@@ -209,7 +226,7 @@ def dihedral(n: int, cap: int = ORDER_CAP) -> PermGroup:
     """Dihedral group of order 2n acting on an n-gon."""
     if n < 3:
         raise GroupError("dihedral needs n >= 3")
-    _refuse_past_cap([2, n], cap)
+    _refuse_past_cap([2, n], cap, n)
     rot = tuple(range(1, n)) + (0,)
     refl = tuple((n - i) % n for i in range(n))
     return PermGroup(n, [rot, refl], name=f"D{n}", cap=cap)
@@ -237,7 +254,7 @@ def direct_product(A: PermGroup, B: PermGroup, name: str = "",
 
 def abelian_group(invariants: list[int], cap: int = ORDER_CAP) -> PermGroup:
     """Direct product of cyclic groups of the given orders."""
-    _refuse_past_cap(invariants, cap)
+    _refuse_past_cap(invariants, cap, sum(invariants))
     G = cyclic(invariants[0], cap)
     for n in invariants[1:]:
         G = direct_product(G, cyclic(n, cap), cap=cap)
@@ -894,8 +911,8 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
 def named_group(name: str, cap: int = ORDER_CAP) -> PermGroup:
     """Resolve CLI-style group names: a6, s5, z12, d4, q8, v4, z2xz4, ...
 
-    A group built by closure whose order is above ``cap`` is refused
-    (CapExceeded) before any perm is built."""
+    A group built by closure whose order or degree x order is above its cap
+    is refused (CapExceeded) before any perm is built."""
     key = name.strip().lower()
     if key in ("1", "triv", "trivial"):
         return trivial_group()
@@ -905,17 +922,21 @@ def named_group(name: str, cap: int = ORDER_CAP) -> PermGroup:
         return quaternion8()
     if "x" in key:
         parts = key.split("x")
-        if all(p.startswith("z") and p[1:].isdigit() for p in parts):
-            return abelian_group([int(p[1:]) for p in parts], cap)
+        if all(p.startswith("z") and p[1:].isdecimal() for p in parts):
+            return abelian_group([_name_number(p[1:], cap) for p in parts], cap)
         raise GroupError(f"unknown group name: {name!r}")
-    head, num = key[0], key[1:]
-    if num.isdigit():
-        if head == "a":
-            return alternating(int(num), cap)
-        if head == "s":
-            return symmetric(int(num), cap)
-        if head == "z" or head == "c":
-            return cyclic(int(num), cap)
-        if head == "d":
-            return dihedral(int(num), cap)
+    builder = {"a": alternating, "s": symmetric, "z": cyclic, "c": cyclic,
+               "d": dihedral}.get(key[:1])
+    if builder is not None and key[1:].isdecimal():
+        return builder(_name_number(key[1:], cap), cap)
     raise GroupError(f"unknown group name: {name!r}")
+
+
+def _name_number(digits: str, cap: int) -> int:
+    """The n of a builtin name.  Each builder's order is at least n past
+    the trivial cases, so one with more digits than ``cap`` is refused
+    before int() reads it (int() refuses more than 4300 digits)."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(max(cap, 1))):
+        raise CapExceeded(f"group order exceeds cap {cap}")
+    return int(digits)

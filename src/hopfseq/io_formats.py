@@ -28,11 +28,11 @@ class FormatError(ValueError):
 # ---------------------------------------------------------------------------
 # group files
 
-# The degree of Z10000 on its 10,000 points, the largest degree of a named
-# group under ORDER_CAP, so that each of them round-trips through a file.
-# The cost of a group grows as its degree times its order: a 10,000-cycle,
-# at both this cap and the default order cap, takes 17 s and 780 MB peak
-# RSS for `hopfseq group`.  Measured on 2 CPUs, Python 3.11.7.
+# The largest degree a group file may declare, checked before any perm is
+# parsed.  The cost of a group grows as its degree times its order, which
+# groups.ENTRY_CAP bounds: a file of one 10,000-cycle is refused once its
+# closure holds 1,000 perms (about 1 s), where it took 17 s and 780 MB
+# peak RSS without that cap.  Measured on 2 CPUs, Python 3.11.7.
 DEGREE_CAP = 10_000
 
 

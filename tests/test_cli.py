@@ -189,6 +189,27 @@ BAD_INPUTS = [
     (("factorize", b"degree 10000000\n(1 2)\n"), {}, EXIT_CAP),
     (("factorize", b"degree " + b"9" * 5000 + b"\n(1 2)\n"), {}, EXIT_CAP),
     (("factorize", "degree \u00b2\n(1 2)\n".encode()), {}, EXIT_PARSE),
+    # a blank builtin name, and number tokens that str.isdigit() accepts but
+    # int() does not read; an empty spec, which Path("") would read as the
+    # working directory
+    (("table", " "), {}, EXIT_PARSE),
+    (("group", "z\u00b3"), {}, EXIT_PARSE),
+    (("group", "s\u00b2"), {}, EXIT_PARSE),
+    (("group", "d\u00b3"), {}, EXIT_PARSE),
+    (("group", "z2xz\u00b3"), {}, EXIT_PARSE),
+    (("verify", "sequence", "double:"), {}, EXIT_PARSE),
+    (("compseries", "vec:"), {}, EXIT_PARSE),
+    # a number with more digits than int() reads; a name too long to be a
+    # path; a NUL or a line break in a path
+    (("group", "s" + "9" * 5000), {}, EXIT_CAP),
+    (("group", "z" + "9" * 5000), {}, EXIT_CAP),
+    (("verify", "hopf", "ds3\x00.hopf"), {}, EXIT_PARSE),
+    (("group", "no\nsuch.grp"), {}, EXIT_PARSE),
+    # degree x order above ENTRY_CAP: Z10000 refused before any perm is
+    # built, and a file of one 10,000-cycle as its closure grows
+    (("group", "z10000"), {}, EXIT_CAP),
+    (("group", b"degree 10000\n(" + " ".join(map(str, range(1, 10001))).encode() + b")\n"),
+     {}, EXIT_CAP),
 ]
 
 
@@ -248,6 +269,14 @@ def test_bad_input_gives_one_error_line(monkeypatch, tmp_path, argv, env, code):
     lines = first[1].splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert run_cli(*argv) == first
+
+
+def test_a_directory_or_an_empty_spec_is_not_a_group_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s3").mkdir()
+    assert run_cli("group", "s3") == (EXIT_OK, "order 6, degree 3, label S3\n")
+    for argv in (("verify", "sequence", "double:"), ("compseries", "vec:")):
+        assert run_cli(*argv) == (EXIT_PARSE, "error: unknown group name: ''\n")
 
 
 def test_exit_code_follows_the_error_type_not_its_text(monkeypatch):

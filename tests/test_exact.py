@@ -5,6 +5,7 @@ from hopfseq import (
     GroupAlgebraRef,
     HopfMorphism,
     all_hopf_series_multisets,
+    bicrossed_product,
     coinvariants,
     composition_series_hopf,
     cyclic,
@@ -12,6 +13,7 @@ from hopfseq import (
     drinfeld_double,
     dual_group_algebra,
     dualize_sequence,
+    from_factorization,
     group_algebra,
     hopf_cokernel,
     hopf_kernel,
@@ -31,6 +33,7 @@ from hopfseq import (
 from hopfseq.exact import (
     ExactnessError,
     ExactSequenceH,
+    _split_along,
     augmentation_basis,
     counit_morphism,
     identity_morphism,
@@ -38,7 +41,7 @@ from hopfseq.exact import (
     identify_group_form,
     two_sided_ideal,
 )
-from hopfseq.groups import alternating, is_normal, iso_label
+from hopfseq.groups import alternating, from_elements, is_normal, iso_label, quotient_group
 from hopfseq.hopf import HopfAlgebra, dual_product, verify_hopf_axioms
 from hopfseq.linalg import Echelon, subspace_equal
 from hopfseq.perm import parse_cycles
@@ -426,3 +429,141 @@ def test_sequence_witness_dimensions(double_s3):
     assert wit["dim_ker_pi"] == wit["dim_ideal"] == 30
     assert wit["dim_coinvariants"] == 6
     assert wit["dims"] == (6, 36, 6)
+
+
+def _s4_as_z2_a4():
+    S4 = symmetric(4)
+    z2 = S4.subgroup([parse_cycles("(1 2)", 4)])
+    a4 = S4.subgroup([parse_cycles("(1 2 3)", 4), parse_cycles("(1 2)(3 4)", 4)])
+    return bicrossed_product(from_factorization(S4, z2, a4))
+
+
+PINNED_ALGEBRAS = {
+    "kS4": lambda: group_algebra(symmetric(4)),
+    "k^S4": lambda: dual_group_algebra(symmetric(4)),
+    "kQ8": lambda: group_algebra(quaternion8()),
+    "D(S3)": lambda: drinfeld_double(symmetric(3)),
+    "D(Z4)": lambda: drinfeld_double(cyclic(4)),
+    "D(Q8)": lambda: drinfeld_double(quaternion8()),
+    "S4=Z2.A4": _s4_as_z2_a4,
+}
+
+# (default chain, its provenance, reversed-chooser chain, its provenance,
+# the factor multiset of every chain).  These are the chains that quotient
+# templates gave before every group-form and dual-form split, and the split
+# at i(k^[Gamma/1]), went through the generic cokernel; the bicrossed
+# products' chains also pin the tagged quotients that split them again.
+PINNED_CHAINS = {
+    "kS4": (
+        "k[Z2] k[Z2] k[Z3] k[Z2]",
+        "split at k[Z2xZ2] (dim 4); split at k[Z2] (dim 2); terminal; terminal; split at k[Z3] "
+        "(dim 3); terminal; terminal",
+        "k[Z2] k[Z2] k[Z3] k[Z2]",
+        "split at k[A4] (dim 12); split at k[Z2xZ2] (dim 4); split at k[Z2] (dim 2); terminal; "
+        "terminal; terminal; terminal",
+        "group:Z2 group:Z2 group:Z2 group:Z3"),
+    "k^S4": (
+        "k^[Z2] k^[Z3] k^[Z2] k^[Z2]",
+        "split at k^[S4/A4] (dim 2); terminal; split at k^[A4/Z2xZ2] (dim 3); terminal; split "
+        "at k^[Z2xZ2/Z2] (dim 2); terminal; terminal",
+        "k^[Z2] k^[Z3] k^[Z2] k^[Z2]",
+        "split at k^[S4/Z2xZ2] (dim 6); split at k^[S3/Z3] (dim 2); terminal; terminal; split "
+        "at k^[Z2xZ2/Z2] (dim 2); terminal; terminal",
+        "dual:Z2 dual:Z2 dual:Z2 dual:Z3"),
+    "kQ8": (
+        "k[Z2] k[Z2] k[Z2]",
+        "split at k[Z2] (dim 2); terminal; split at k[Z2] (dim 2); terminal; terminal",
+        "k[Z2] k[Z2] k[Z2]",
+        "split at k[Z4] (dim 4); split at k[Z2] (dim 2); terminal; terminal; terminal",
+        "group:Z2 group:Z2 group:Z2"),
+    "D(S3)": (
+        "k^[Z2] k^[Z3] k[Z3] k[Z2]",
+        "split at i(k^[S3/Z3]) (dim 2); terminal; split at i(k^[Z3/1]) (dim 3); terminal; split"
+        " at k[Z3] (dim 3); terminal; terminal",
+        "k^[Z2] k^[Z3] k[Z3] k[Z2]",
+        "split at i(k^[S3/1]) (dim 6); split at k^[S3/Z3] (dim 2); terminal; terminal; split at"
+        " k[Z3] (dim 3); terminal; terminal",
+        "dual:Z2 dual:Z3 group:Z2 group:Z3"),
+    "D(Z4)": (
+        "k[Z2] k[Z2] k^[Z2] k^[Z2]",
+        "split at 1#k[Z2] (dim 2); terminal; split at 1#k[Z2] (dim 2); terminal; split at "
+        "k^[Z4/Z2] (dim 2); terminal; terminal",
+        "k[Z2] k[Z2] k^[Z2] k^[Z2]",
+        "split at 1#k[Z4] (dim 4); split at k[Z2] (dim 2); terminal; terminal; split at "
+        "k^[Z4/Z2] (dim 2); terminal; terminal",
+        "dual:Z2 dual:Z2 group:Z2 group:Z2"),
+    "D(Q8)": (
+        "k^[Z2] k^[Z2] k^[Z2] k[Z2] k[Z2] k[Z2]",
+        "split at i(k^[Q8/Z4]) (dim 2); terminal; split at i(k^[Z4/Z2]) (dim 2); terminal; "
+        "split at i(k^[Z2/1]) (dim 2); terminal; split at k[Z2] (dim 2); terminal; split at "
+        "k[Z2] (dim 2); terminal; terminal",
+        "k^[Z2] k^[Z2] k^[Z2] k[Z2] k[Z2] k[Z2]",
+        "split at i(k^[Q8/1]) (dim 8); split at k^[Q8/Z2] (dim 4); split at k^[Z2xZ2/Z2] (dim "
+        "2); terminal; terminal; terminal; split at k[Z4] (dim 4); split at k[Z2] (dim 2); "
+        "terminal; terminal; terminal",
+        "dual:Z2 dual:Z2 dual:Z2 group:Z2 group:Z2 group:Z2"),
+    "S4=Z2.A4": (
+        "k^[Z3] k^[Z2] k^[Z2] k[Z2]",
+        "split at i(k^[A4/Z2xZ2]) (dim 3); terminal; split at i(k^[Z2xZ2/Z2]) (dim 2); "
+        "terminal; split at i(k^[Z2/1]) (dim 2); terminal; terminal",
+        "k^[Z3] k^[Z2] k^[Z2] k[Z2]",
+        "split at i(k^[A4/1]) (dim 12); split at k^[A4/Z2xZ2] (dim 3); terminal; split at "
+        "k^[Z2xZ2/Z2] (dim 2); terminal; terminal; terminal",
+        "dual:Z2 dual:Z2 dual:Z3 group:Z2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHAINS))
+def test_series_chains_and_provenance_are_pinned(name):
+    H = PINNED_ALGEBRAS[name]()
+    default, dprov, reverse, rprov, multiset = PINNED_CHAINS[name]
+    s1 = composition_series_hopf(H)
+    s2 = composition_series_hopf(H, chooser=lambda cands: list(reversed(cands)))
+    for ser, factors, provenance in ((s1, default, dprov), (s2, reverse, rprov)):
+        assert " ".join(f.pretty() for f in ser.factors) == factors
+        assert "; ".join(ser.provenance) == provenance
+    assert {" ".join(f"{kind}:{label}" for kind, label, _ in m)
+            for m in all_hopf_series_multisets(H)} == {multiset}
+
+
+
+@pytest.mark.parametrize("G", [symmetric(4), dihedral(6), quaternion8()], ids=["S4", "D6", "Q8"])
+def test_group_form_split_is_the_cokernel_k_of_g_over_n(G):
+    # kG/kG(kN)+ is k[G/N] on the nose, one group-like per coset: so the
+    # generic cokernel is the quotient, with no template and no origin tag
+    H = group_algebra(G)
+    cands = normal_subalgebra_candidates(H)
+    assert cands
+    for cand in cands:
+        N = from_elements(G.degree, [G.elements[i] for v in cand.sub.basis for i in v])
+        Q = _split_along(H, cand)[1]
+        GN, _ = quotient_group(G, N)
+        read = identify_group_form(Q)
+        assert Q.origin is None and read is not None
+        assert (iso_label(read), read.order) == (iso_label(GN), GN.order)
+
+
+@pytest.mark.parametrize("G", [symmetric(4), alternating(4)], ids=["S4", "A4"])
+def test_dual_form_split_is_the_cokernel_k_to_the_n(G):
+    # k^G over the coset indicators of N is k^N on the nose, the idempotents
+    # e_n for n in N
+    H = dual_group_algebra(G)
+    e = G.element_index()[G.identity()]
+    cands = normal_subalgebra_candidates(H)
+    assert cands
+    for cand in cands:
+        coset = next(v for v in cand.sub.basis if e in v)
+        N = from_elements(G.degree, [G.elements[i] for i in coset])
+        Q = _split_along(H, cand)[1]
+        read = identify_dual_form(Q)
+        assert Q.origin is None and read is not None
+        assert (iso_label(read), read.order) == (iso_label(N), N.order)
+
+
+def test_canonical_function_part_split_is_the_cokernel_kg(double_s3):
+    cand = next(c for c in normal_subalgebra_candidates(double_s3)
+                if c.sub.note == "i(k^[S3/1])")
+    Q = _split_along(double_s3, cand)[1]
+    read = identify_group_form(Q)
+    assert Q.origin is None and read is not None
+    assert (iso_label(read), read.order) == ("S3", 6)
