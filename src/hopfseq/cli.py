@@ -93,12 +93,14 @@ def _parse_expr(spec: str, cap: int) -> CatExpr:
 
 
 def _parse_ints(text: str, count: int) -> list[int]:
-    """Exactly ``count`` comma-separated integers."""
+    """Exactly ``count`` comma-separated integers, each an optional sign and
+    decimal digits, as in group names: no blank or underscore."""
+    tokens = text.split(",")
     try:
-        nums = [int(t) for t in text.split(",")]
-    except ValueError:
+        nums = [int(t) for t in tokens if (t[1:] if t[:1] in ("+", "-") else t).isdecimal()]
+    except ValueError:  # more digits than int() reads
         nums = []
-    if len(nums) != count:
+    if len(nums) != count or len(tokens) != count:
         raise CliError(f"expected {count} comma-separated integer(s), got {text!r}",
                        EXIT_PARSE)
     return nums

@@ -224,14 +224,39 @@ def _transported(H: HopfAlgebra, lift, coords, tensor_coords, labels):
 def _closure(K: HopfSubalgebra) -> tuple[HopfAlgebra, list[tuple]]:
     """The algebra K is in its own basis (complete only without violations)
     and K's closure violations, from one pass that reads H's structure on
-    K's basis in coordinates over K and over K (x) K."""
+    K's basis b_a in coordinates over K, kept in one Echelon.
+
+    A tensor t of H (x) H is read over K (x) K one leg at a time: write
+    t = sum_j u_j (x) e_j; each u_j must lie in K, as sum_a c_aj b_a; then
+    t = sum_a b_a (x) w_a with w_a = sum_j c_aj e_j, and each w_a must lie
+    in K too.  The coordinate of t at b_a (x) b_b is that of w_a at b_b."""
     H, basis = K.ambient, K.basis
-    span, tens = Echelon(H.field), Echelon(H.field)
+    span = Echelon(H.field)
     for a, x in enumerate(basis):
         span.add(x, tag=a)
-        for b, y in enumerate(basis):
-            tens.add({(i, j): ci * cj for i, ci in x.items() for j, cj in y.items()}, tag=(a, b))
-    return _transported(H, basis, span.coords, tens.coords, [f"b{a}" for a in range(len(basis))])
+
+    def tensor_coords(t: dict):
+        legs: dict = {}                     # legs[j] = u_j
+        for (i, j), c in t.items():
+            legs.setdefault(j, {})[i] = c
+        ws: dict = {}                       # ws[a] = w_a
+        for j, u in legs.items():
+            cu = span.coords(u)
+            if cu is None:
+                return None
+            for a, c in cu.items():
+                ws.setdefault(a, {})[j] = c
+        out: dict = {}
+        for a, w in ws.items():
+            cw = span.coords(w)
+            if cw is None:
+                return None
+            for b, c in cw.items():
+                out[a, b] = c
+        return out
+
+    return _transported(H, basis, span.coords, tensor_coords,
+                        [f"b{a}" for a in range(len(basis))])
 
 
 def standalone_subalgebra(K: HopfSubalgebra) -> HopfAlgebra:
@@ -260,24 +285,38 @@ def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
 
         h . a = h_(1) a S(h_(2))        a . h = S(h_(1)) a h_(2)
 
-    Returns (True, None) or (False, witness (side, h index, K basis index)).
+    The products e_j a and S(e_j) a are formed once per pair (a, j); for
+    h = e_i, the left side sums the terms (e_j a) S(e_k) of Delta(e_i), and
+    the right side reads (S(e_j) a) e_k off the rows of H.mult.
+
+    Returns (True, None) or (False, witness (side, h index, K basis index)),
+    the first failure over i, then a, the left side before the right.
     """
     H = K.ambient
     ech = echelon_span(K.basis, H.field)
     cols = transpose(H.mult, H.dim)
     lefts = [_basis_products(cols, a) for a in K.basis]   # lefts[a_i][j] = e_j a
+    rights: list[dict] = [{} for _ in K.basis]            # rights[a_i][j] = S(e_j) a
     for i in range(H.dim):
         hi_terms = H.comult[i]
         for a_i, a in enumerate(K.basis):
             left: Vec = {}
-            right: Vec = {}
             for j, k, c in hi_terms:
                 for m, d in H.mul_vec(lefts[a_i].get(j, {}), H.antipode[k]).items():
                     add_term(left, m, c * d)
-                for m, d in H.mul_vec(H.mul_vec(H.antipode[j], a), H.basis_vec(k)).items():
-                    add_term(right, m, c * d)
             if not ech.contains(left):
                 return False, ("left", i, a_i)
+            right: Vec = {}
+            for j, k, c in hi_terms:
+                sa = rights[a_i].get(j)
+                if sa is None:
+                    sa = rights[a_i][j] = H.mul_vec(H.antipode[j], a)
+                for x, d in sa.items():
+                    cell = H.mult[x].get(k)
+                    if cell is not None:
+                        cd = c * d
+                        for m, e in cell.items():
+                            add_term(right, m, cd * e)
             if not ech.contains(right):
                 return False, ("right", i, a_i)
     return True, None
@@ -312,22 +351,31 @@ def augmentation_basis(H: HopfAlgebra) -> list[Vec]:
 
 
 def two_sided_ideal(H: HopfAlgebra, gens) -> Echelon:
-    """Echelon span of H . gens . H, closed by a worklist: each vector that
-    enlarged the span is multiplied by every basis element on the left and
-    on the right, until nothing new comes or the span is all of H.  The
-    vectors that enlarged it span it, so the span is closed under both
-    multiplications, and it holds gens = 1 . gens . 1.  Only the nonzero
-    products are formed: from the rows and columns of the vector's support."""
+    """Echelon span of H . gens . H, formed from its left ideal.
+
+    First comes L = span{e_i g}, the left ideal H . gens; it holds each g,
+    as the unit is a combination of basis vectors.  Then, for each product
+    w = g e_k outside the span so far, the products e_i w are added.  The
+    span stays a left ideal, so a w inside it has H w inside it too; and
+    H g H = H (g H), so the span ends as H . gens . H.  Only the nonzero
+    products are formed: from the rows and columns of a vector's support."""
     ech = Echelon(H.field)
-    todo = [g for g in gens if ech.add(g)]
     cols = transpose(H.mult, H.dim)
-    while todo and ech.rank < H.dim:
-        v = todo.pop()
-        left, right = _basis_products(cols, v), _basis_products(H.mult, v)
-        for i in sorted(left.keys() | right.keys()):
-            for w in (left.get(i), right.get(i)):
-                if w and ech.rank < H.dim and ech.add(w):
-                    todo.append(w)
+
+    def add_left_ideal(v: Vec) -> None:
+        for w in _basis_products(cols, v).values():
+            if ech.rank == H.dim:
+                return
+            ech.add(w)
+
+    for g in gens:
+        add_left_ideal(g)
+    for g in gens:
+        for w in _basis_products(H.mult, g).values():
+            if ech.rank == H.dim:
+                return ech
+            if not ech.contains(w):
+                add_left_ideal(w)
     return ech
 
 

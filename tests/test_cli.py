@@ -210,6 +210,10 @@ BAD_INPUTS = [
     (("group", "z10000"), {}, EXIT_CAP),
     (("group", b"degree 10000\n(" + " ".join(map(str, range(1, 10001))).encode() + b")\n"),
      {}, EXIT_CAP),
+    # ty: and cpq: numbers with an underscore or a blank, which int() reads
+    (("ledger", "ty:1_1"), {}, EXIT_PARSE),
+    (("ledger", "ty: 7"), {}, EXIT_PARSE),
+    (("ledger", "cpq:3,1_1"), {}, EXIT_PARSE),
 ]
 
 

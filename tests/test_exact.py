@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hopfseq import (
@@ -34,6 +36,7 @@ from hopfseq.exact import (
     ExactnessError,
     ExactSequenceH,
     _split_along,
+    _transported,
     augmentation_basis,
     counit_morphism,
     identity_morphism,
@@ -43,8 +46,8 @@ from hopfseq.exact import (
 )
 from hopfseq.groups import alternating, from_elements, is_normal, iso_label, quotient_group
 from hopfseq.hopf import HopfAlgebra, dual_product, verify_hopf_axioms
-from hopfseq.linalg import Echelon, subspace_equal
-from hopfseq.perm import parse_cycles
+from hopfseq.linalg import Echelon, add_term, subspace_equal
+from hopfseq.perm import compose, conjugate, inverse, parse_cycles
 
 
 def _coordinate_subalgebra(H, G, sub):
@@ -97,6 +100,39 @@ def test_normality_oracle_groups_up_to_24():
                 assert hopf_normal == is_normal(G, sub), (G.name, row.iso_label)
                 checked += 1
     assert checked >= 87  # every subgroup of every listed group
+
+
+def _conjugation_witness(G, subset):
+    """The first failure of span{e_s : s in subset} in kG under the adjoint
+    actions, read off the group: over g in G's order and then s in the
+    span's basis order, g s g^-1 (left) before g^-1 s g (right); None when
+    there is none."""
+    index = G.element_index()
+    ss = [G.elements[i] for i in sorted(index[s] for s in subset)]
+    for i, g in enumerate(G.elements):
+        for a, s in enumerate(ss):
+            if conjugate(g, s) not in subset:
+                return ("left", i, a)
+            if conjugate(inverse(g), s) not in subset:
+                return ("right", i, a)
+    return None
+
+
+def test_normality_witness_matches_conjugation():
+    # every subgroup, and every pair {x, g x g^-1}, which is stable on one
+    # side at g before the other
+    sides = set()
+    for G in [symmetric(3), dihedral(4), alternating(4), symmetric(4)]:
+        H = group_algebra(G)
+        one, index = H.field.one, G.element_index()
+        subsets = [frozenset(conj) for row in subgroup_classes(G) for conj in row.conjugates]
+        subsets += [frozenset((x, conjugate(g, x))) for g in G.elements for x in G.elements]
+        for subset in subsets:
+            witness = _conjugation_witness(G, subset)
+            K = span_subalgebra(H, [{index[s]: one} for s in subset])
+            assert is_normal_subalgebra(K) == (witness is None, witness), (G.name, sorted(subset))
+            sides.add(None if witness is None else witness[0])
+    assert sides == {None, "left", "right"}
 
 
 def test_commutative_ambient_everything_normal():
@@ -185,6 +221,64 @@ def test_two_sided_ideal_matches_all_pairs_span(name):
     got = two_sided_ideal(H, gens)
     assert got.canonical() == _all_pairs_ideal(H, gens).canonical()
     assert 0 < got.rank <= H.dim
+
+
+IDEAL_ALGEBRAS = {
+    "kS3": lambda: group_algebra(symmetric(3)),
+    "kS4": lambda: group_algebra(symmetric(4)),
+    "k^S3": lambda: dual_group_algebra(symmetric(3)),
+    "D(S3)": lambda: drinfeld_double(symmetric(3)),
+    "kD4": lambda: group_algebra(dihedral(4)),
+    "kS3 conductor 3": lambda: group_algebra(symmetric(3), conductor=3),
+}
+
+
+def _random_gens(H, rng):
+    """One to three vectors, each a sum of one or two terms c e_x or
+    c (e_x - e_y), c a nonzero integer from -2 to 2 times a root of unity
+    of the field; the differences make proper ideals of a group algebra."""
+    F = H.field
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        v: dict = {}
+        for _ in range(rng.randint(1, 2)):
+            c = F.from_rational(rng.choice((-2, -1, 1, 2))) * F.zeta(rng.randrange(F.conductor))
+            x, y = rng.sample(range(H.dim), 2)
+            add_term(v, x, c)
+            if rng.random() < 0.75:
+                add_term(v, y, -c)
+        if v:
+            gens.append(v)
+    return gens
+
+
+@pytest.mark.parametrize("name", sorted(IDEAL_ALGEBRAS))
+def test_two_sided_ideal_is_the_span_of_every_product(name):
+    H = IDEAL_ALGEBRAS[name]()
+    rng = random.Random(1729)
+    ranks = set()
+    for _ in range(20):
+        gens = _random_gens(H, rng)
+        got = two_sided_ideal(H, gens)
+        assert got.canonical() == _all_pairs_ideal(H, gens).canonical()
+        ranks.add(got.rank)
+    assert len(ranks) > 1
+
+
+def test_two_sided_ideal_beyond_its_left_ideal():
+    # g = e_(1 2) - e_() in kS3 (and over Q(zeta_3)): H g has dim 3 and H g H
+    # dim 5, so the products g e_k must be closed on the left as well
+    for conductor in (1, 3):
+        S3 = symmetric(3)
+        H = group_algebra(S3, conductor=conductor)
+        one, idx = H.field.one, S3.element_index()
+        g = {idx[parse_cycles("(1 2)", 3)]: one, idx[S3.identity()]: -one}
+        left = Echelon(H.field)
+        for i in range(H.dim):
+            left.add(H.mul_vec(H.basis_vec(i), g))
+        got = two_sided_ideal(H, [g])
+        assert (left.rank, got.rank) == (3, 5)
+        assert got.canonical() == _all_pairs_ideal(H, [g]).canonical()
 
 
 def _all_pairs_multiplicative(m):
@@ -357,6 +451,108 @@ def test_span_that_is_not_closed():
     assert K.verify() == [("unit",), ("mult", 0, 0)]
     with pytest.raises(ExactnessError):
         standalone_subalgebra(K)
+
+
+def _tagged_closure(K):
+    """The closure pass with the K (x) K reader it had before: a tagged
+    Echelon over every b_a (x) b_b."""
+    H = K.ambient
+    span, tens = Echelon(H.field), Echelon(H.field)
+    for a, x in enumerate(K.basis):
+        span.add(x, tag=a)
+        for b, y in enumerate(K.basis):
+            tens.add({(i, j): ci * cj for i, ci in x.items() for j, cj in y.items()}, tag=(a, b))
+    return _transported(H, K.basis, span.coords, tens.coords,
+                        [f"b{a}" for a in range(len(K.basis))])
+
+
+def _not_closed_spans():
+    """Spans that are not Hopf subalgebras: in k^S3 the indicators of
+    {(), (1 2)} and of its complement, and the indicators of the cosets
+    Z g of Z = <(1 2)>, whose coproducts lie in K (x) H but not in K (x) K
+    (both are subalgebras, not subcoalgebras); in kS3 k e_(1 2); in D(S3)
+    the unit with two basis vectors."""
+    S3 = symmetric(3)
+    F, kS3 = dual_group_algebra(S3), group_algebra(S3)
+    one, idx = F.field.one, S3.element_index()
+    t = parse_cycles("(1 2)", 3)
+    pair = {idx[S3.identity()], idx[t]}
+    cosets = {frozenset((idx[g], idx[compose(t, g)])) for g in S3.elements}
+    D = drinfeld_double(S3)
+    return {
+        "k^S3 indicators": span_subalgebra(
+            F, [{i: one for i in pair}, {i: one for i in range(6) if i not in pair}]),
+        "k^S3 cosets": span_subalgebra(F, [dict.fromkeys(c, one) for c in cosets]),
+        "kS3 e_(1 2)": span_subalgebra(kS3, [{idx[t]: one}]),
+        "D(S3) unit, e_1, e_7": span_subalgebra(D, [D.unit, {1: one}, {7: one}]),
+    }
+
+
+# the algebras whose series bench/libjob.py prints
+CATALOG_ALGEBRAS = {
+    "D(S3)": lambda: drinfeld_double(symmetric(3)),
+    "kD6": lambda: group_algebra(dihedral(6)),
+    "k^A4": lambda: dual_group_algebra(alternating(4)),
+}
+
+
+def _closed_spans():
+    return {f"{name} {cand.sub.note} {n}": cand.sub for name, make in CATALOG_ALGEBRAS.items()
+            for n, cand in enumerate(normal_subalgebra_candidates(make()))}
+
+
+def test_one_leg_tensor_reader_matches_the_tagged_echelon():
+    closed, not_closed = _closed_spans(), _not_closed_spans()
+    assert len(closed) == 8
+    for name, K in {**closed, **not_closed}.items():
+        alg, bad = _tagged_closure(K)
+        assert K.verify() == bad, name
+        assert bool(bad) == (name in not_closed), name
+        if bad:
+            with pytest.raises(ExactnessError):
+                standalone_subalgebra(K)
+        else:
+            assert standalone_subalgebra(K).structure_equal(alg), name
+    assert not_closed["k^S3 indicators"].verify() == [("comult", 0), ("comult", 1)]
+
+
+def test_normality_witness_of_a_non_normal_subgroup():
+    S3 = symmetric(3)
+    H = group_algebra(S3)
+    one, idx = H.field.one, S3.element_index()
+    K = span_subalgebra(H, [{idx[S3.identity()]: one}, {idx[parse_cycles("(1 2)", 3)]: one}])
+    assert is_normal_subalgebra(K) == (False, ("left", 1, 1))
+
+
+# (subalgebra note, candidate note, dim, support of each basis vector) of
+# every candidate, in order; every coefficient is one
+PINNED_CANDIDATES = {
+    "D(S3)": [
+        ("i(k^[S3/Z3])", "canonical function-algebra part", 2, [[0, 18, 24], [6, 12, 30]]),
+        ("i(k^[S3/1])", "canonical function-algebra part", 6,
+         [[0], [6], [12], [18], [24], [30]]),
+    ],
+    "kD6": [
+        ("k[Z2]", "group algebra of normal subgroup Z2", 2, [[0], [7]]),
+        ("k[Z3]", "group algebra of normal subgroup Z3", 3, [[0], [5], [9]]),
+        ("k[S3]", "group algebra of normal subgroup S3", 6, [[0], [1], [4], [5], [8], [9]]),
+        ("k[S3]", "group algebra of normal subgroup S3", 6, [[0], [2], [5], [6], [9], [11]]),
+        ("k[Z6]", "group algebra of normal subgroup Z6", 6, [[0], [3], [5], [7], [9], [10]]),
+    ],
+    "k^A4": [
+        ("k^[A4/Z2xZ2]", "functions on quotient by Z2xZ2", 3,
+         [[0, 3, 8, 11], [1, 5, 6, 10], [2, 4, 7, 9]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CANDIDATES))
+def test_candidate_lists_are_pinned(name):
+    H = CATALOG_ALGEBRAS[name]()
+    one = H.field.one
+    got = [(c.sub.note, c.note, c.sub.dim, c.canonical()) for c in normal_subalgebra_candidates(H)]
+    assert got == [(note, cnote, dim, tuple(tuple((k, one) for k in s) for s in supports))
+                   for note, cnote, dim, supports in PINNED_CANDIDATES[name]]
 
 
 def test_identify_forms():
