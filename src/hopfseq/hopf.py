@@ -18,6 +18,14 @@ the transpose of Delta.  The antipode is obtained by solving the
 defining linear system when no verified closed form applies.  The
 constructors import the matched-pair and cocycle modules when called, so
 reading and verifying a dump loads neither.
+
+Every construction here is monomial in its basis: each e_i e_j is 0 or one
+term c e_k, and each pair (j, k) is a term of at most one Delta(e_i).  The
+verifier then reads the rows, and the rows of the dual, as tables
+{j: (k, c)} (_monomial), derived per verification and never stored, and
+decides whole blocks of instances on them; a block that does not pass is
+redone by the per-instance code, which alone reports violations, so the
+report and its counts are the same whichever path ran.
 """
 
 from __future__ import annotations
@@ -34,9 +42,11 @@ from .record import Frozen
 # and coproduct terms reach, so the cap bounds that work, not the dimension:
 # verify_work counts it from nonzero counts.  The cap is the work of k^Z216,
 # the slowest algebra the old dimension cap of 216 accepted: 33 s there at
-# 3.3 us a dim**3 triple, 9.5 s here at 0.3 us a unit of work.  It accepts
-# D(S4) (dim 576, work 17.3 M, 2.6 s to build, 0.15 us a unit) and refuses
-# kZ576 and k^Z576 (work 192 M and 574 M).  Measured on 2 CPUs, Python 3.11.7.
+# 3.3 us a dim**3 triple; `build dual z216` takes 2.0 s on the table views
+# (0.07 us a unit of work) and took 7.2 s on the per-instance code alone.
+# It accepts D(S4) (dim 576, work 17.3 M, 0.75 s to build, 0.04 us a unit)
+# and refuses kZ576 and k^Z576 (work 192 M and 574 M).  Measured cold on
+# 2 CPUs, Python 3.11.7.
 HOPF_WORK_CAP = 30_326_616
 # Building Q(zeta_N) takes time that grows with the divisors of N: at most
 # 0.07 s for N <= 1000 (N = 900), but 1.1 s for N = 5040 and 5.1 s for
@@ -192,24 +202,54 @@ def _apply(cols, vec: Vec, one: CycScalar) -> dict:
     return out
 
 
+def _monomial(P) -> list[dict] | None:
+    """The table view of the product rows P: T[i][j] = (k, c) for
+    e_i e_j = c e_k, sharing the scalars of P; None unless every cell has
+    one term.  The verifier derives it per call and stores it nowhere."""
+    T = []
+    for row in P:
+        table = {}
+        for j, cell in row.items():
+            if len(cell) != 1:
+                return None
+            (table[j],) = cell.items()
+        T.append(table)
+    return T
+
+
 def _antipode_violations(H: HopfAlgebra, S, checked: dict, evaluated: dict):
     """m(S (x) id)Delta = u eps = m(id (x) S)Delta on every basis vector, for
     the antipode columns S."""
     one, P = H.field.one, H.mult
-    cols = transpose(P, H.dim)  # cols[k][i] = e_i e_k
     for i in range(H.dim):
         left: Vec = {}
         right: Vec = {}
         for j, k, c in H.comult[i]:
-            for m, d in _apply(cols[k], S[j], one).items():   # S(e_j) e_k
-                add_term(left, m, _times(c, d, one))
-            for m, d in _apply(P[j], S[k], one).items():      # e_j S(e_k)
-                add_term(right, m, _times(c, d, one))
+            for s, v in S[j].items():            # S(e_j) e_k
+                cv = _times(c, v, one)
+                for m, d in P[s].get(k, _ZERO).items():
+                    add_term(left, m, _times(cv, d, one))
+            for s, v in S[k].items():            # e_j S(e_k)
+                cv = _times(c, v, one)
+                for m, d in P[j].get(s, _ZERO).items():
+                    add_term(right, m, _times(cv, d, one))
         target = _apply({0: H.unit}, {0: H.counit[i]}, one)  # eps(e_i) 1
         for fam, got in (("antipode-left", left), ("antipode-right", right)):
             checked[fam] = evaluated[fam] = checked.get(fam, 0) + 1
             if got != target:
                 yield fam, i
+
+
+def _reach(Pi: dict, reaching: list, dim: int) -> dict | None:
+    """j -> the k whose e_j e_k meets supp(row i), from reaching[y], the pairs
+    (j, k) with y in supp(e_j e_k); None when row i is full: every k of row j."""
+    if len(Pi) == dim:
+        return None
+    reach: dict = {}
+    for y in Pi:
+        for j, k in reaching[y]:
+            reach.setdefault(j, set()).add(k)
+    return reach
 
 
 def _walk(P, unit: Vec, one: CycScalar, checked: dict, evaluated: dict):
@@ -218,7 +258,16 @@ def _walk(P, unit: Vec, one: CycScalar, checked: dict, evaluated: dict):
     instance, left side, right side).  (e_i e_j) e_k is zero unless k is in
     supp(row x) for an x in supp(e_i e_j), and e_i (e_j e_k) unless
     supp(e_j e_k) meets supp(row i); k runs in increasing order over that
-    union.  The counts are kept per row, exact when the caller stops early."""
+    union.  The counts are kept per row, exact when the caller stops early.
+
+    On the table view (every cell one term), each pair (i, j) is first
+    decided whole: L = (e_i e_j) * row and R = e_i * (e_j e_k) over every k,
+    as two dicts k -> (target, coefficient).  Both are empty unless j is in
+    supp(row i) or e_j e_k meets it, so only those j are visited.  When
+    L == R every triple of the pair passes, and the k the loop below would
+    evaluate are the keys of L, so the pair adds len(L) to `evaluated`.
+    Any other pair runs that per-triple loop, the only code that yields, so
+    the violations and the counts at every stop are the loop's own."""
     dim = len(P)
     cols = transpose(P, dim)  # cols[k][i] = e_i e_k
     for i in range(dim):
@@ -233,31 +282,74 @@ def _walk(P, unit: Vec, one: CycScalar, checked: dict, evaluated: dict):
         for k, cell in row.items():
             for y in cell:
                 reaching[y].append((j, k))
-    done = computed = 0
+    T = _monomial(P)
+    if T is not None:
+        rows_to = [{j for j, _ in pairs} for pairs in reaching]  # y -> the rows reaching y
+    computed = 0
     for i, Pi in enumerate(P):
-        reach = None  # j -> {k: supp(e_j e_k) meets supp(row i)}; None: every k of row j
-        if len(Pi) < dim:
-            reach = {}
-            for y in Pi:
-                for j, k in reaching[y]:
-                    reach.setdefault(j, set()).add(k)
-        for j, Pj in enumerate(P):
-            ij = Pi.get(j, _ZERO)
+        if T is None:
+            js, reach = whole, _reach(Pi, reaching, dim)
+        else:
+            Ti, reach = T[i], False  # False: built for the first pair that fails
+            at = Ti.get
+            js = whole if len(Ti) == dim else sorted(set(Ti).union(*(rows_to[y] for y in Ti)))
+        for j in js:
+            if T is not None:
+                if (term := at(j)) is None:
+                    L = _ZERO
+                else:
+                    x, c = term  # e_i e_j = c e_x
+                    L = T[x] if c is one else {k: (m, _times(c, d, one))
+                                               for k, (m, d) in T[x].items()}
+                R = {k: t if d is one else (t[0], _times(d, t[1], one))
+                     for k, (y, d) in T[j].items() if (t := at(y)) is not None}
+                if L == R:
+                    computed += len(L)
+                    continue
+                if reach is False:
+                    reach = _reach(Pi, reaching, dim)
+            Pj, ij = P[j], Pi.get(j, _ZERO)
             ks = Pj if reach is None else reach.get(j, ())
             if ij and (len(ks) == dim or any(len(P[x]) == dim for x in ij)):
                 ks = whole
             elif ij or ks:
                 ks = sorted(set(ks).union(*(P[x] for x in ij)))
+            done = (i * dim + j) * dim
             for k in ks:
                 lhs, rhs = _apply(cols[k], ij, one), _apply(Pi, Pj.get(k, _ZERO), one)
                 if lhs != rhs:
                     checked["associativity"] = done + k + 1
                     evaluated["associativity"] = computed + ks.index(k) + 1
                     yield "associativity", (i, j, k), lhs, rhs
-            done += dim
             computed += len(ks)
-            checked["associativity"] = done
-            evaluated["associativity"] = computed
+        checked["associativity"] = (i + 1) * dim * dim
+        evaluated["associativity"] = computed
+
+
+def _counit_multiplicative(P, counit, one: CycScalar, zero: CycScalar,
+                           checked: dict, evaluated: dict):
+    """Every failing pair of eps(e_i e_j) = eps(e_i) eps(e_j) for the product
+    rows P and the counit values `counit`.  Both sides are zero when
+    e_i e_j = 0 and eps(e_i) or eps(e_j) is, so row i evaluates supp(row i)
+    and, when eps(e_i) != 0, every j with eps(e_j) != 0."""
+    fam = "counit-multiplicative"
+    dim = len(P)
+    counited = {j for j, c in enumerate(counit) if not c.is_zero()}
+    computed = 0
+    for i, Pi in enumerate(P):
+        ci = counit[i]
+        for j in sorted(Pi.keys() | counited if i in counited else Pi):
+            computed += 1
+            lhs = zero  # terms with eps(e_m) the field's zero are skipped
+            for m, a in Pi.get(j, _ZERO).items():
+                if counit[m] is not zero:
+                    t = _times(a, counit[m], one)
+                    lhs = t if lhs is zero else lhs + t
+            rhs = zero if ci is zero or counit[j] is zero else _times(ci, counit[j], one)
+            if lhs is not rhs and lhs != rhs:
+                checked[fam], evaluated[fam] = i * dim + j + 1, computed
+                yield fam, (i, j)
+        checked[fam], evaluated[fam] = (i + 1) * dim, computed
 
 
 def _violations(H: HopfAlgebra, checked: dict, evaluated: dict):
@@ -279,42 +371,70 @@ def _violations(H: HopfAlgebra, checked: dict, evaluated: dict):
     # H's coalgebra families are the unit and associativity families of H*,
     # with product the transpose of Delta and unit the counit: ("counit-left",
     # i) fails iff a unit-left instance of H* differs at output coordinate i
+    dual = dual_product(H)
     bad: dict = {}
     eps = {i: c for i, c in enumerate(counit) if not c.is_zero()}
-    for fam, _, lhs, rhs in _walk(dual_product(H), eps, one, {}, {}):
+    for fam, _, lhs, rhs in _walk(dual, eps, one, {}, {}):
         bad.setdefault(fam, set()).update(m for m in lhs.keys() | rhs.keys()
                                           if lhs.get(m) != rhs.get(m))
     for duals in ((("counit-left", "unit-left"), ("counit-right", "unit-right")),
                   (("coassociativity", "associativity"),)):
         for i in range(dim):
-            for fam, dual in duals:
-                if failed(fam, i in bad.get(dual, ())):
+            for fam, dual_fam in duals:
+                if failed(fam, i in bad.get(dual_fam, ())):
                     yield fam, i
 
-    delta = {i: {} for i in range(dim)}  # Delta(e_i) keyed (j, k)
-    firsts = [[] for _ in range(dim)]  # a2 -> [(j, b2, c2)] per term of a Delta(e_j)
-    for i, d in delta.items():
-        for j, k, c in H.comult[i]:
-            add_term(d, (j, k), c)
-            firsts[j].append((i, k, c))
-    unit_tensor = {(i, j): _times(a, b, one) for i, a in unit.items() for j, b in unit.items()}
-    if failed("comult-unit", _apply(delta, unit, one) != unit_tensor):
+    # Delta(1) = 1 (x) 1 says that evaluation at 1, the counit of H*, is
+    # multiplicative on H*: one instance, failing iff some pair of H* fails
+    at_one = tuple(unit.get(i, zero) for i in range(dim))
+    if failed("comult-unit", next(_counit_multiplicative(dual, at_one, one, zero, {}, {}),
+                                  None) is not None):
         yield ("comult-unit",)
 
     # Delta(e_i) Delta(e_j): a term pair (a1 (x) b1, a2 (x) b2) adds nothing
-    # unless e_a1 e_a2 != 0.  So each term of Delta(e_i) meets, for a2 in
-    # the support of row a1, the terms of every Delta(e_j) with first leg
-    # a2, and one walk sums the right sides of the whole row i.
+    # unless e_a1 e_a2 != 0 and e_b1 e_b2 != 0.  So each term of Delta(e_i)
+    # meets, for a2 in the support of row a1, the terms of every Delta(e_j)
+    # with first leg a2 and second leg in the support of row b1, and one
+    # walk sums the right sides of the whole row i.  On the table views of
+    # the product and of its dual, those terms are one key intersection.
+    delta = {i: {} for i in range(dim)}  # Delta(e_i) keyed (j, k)
+    for i, d in delta.items():
+        for j, k, c in H.comult[i]:
+            add_term(d, (j, k), c)
+    # the views serve when every term of Delta has a cell of H* to itself
+    # (no zero and no repeated term); firsts[a2][b2] is then its (j, c2)
+    T, firsts = _monomial(P), _monomial(dual)
+    if T is None or firsts is None or sum(map(len, firsts)) != sum(map(len, H.comult)):
+        T, firsts = None, [{} for _ in range(dim)]  # firsts[a2][b2] = [(j, c2), ...]
+        for j, terms in enumerate(H.comult):
+            for a2, b2, c2 in terms:
+                firsts[a2].setdefault(b2, []).append((j, c2))
     fam = "comult-multiplicative"
-    done = computed = 0
+    computed = 0
     for i in range(dim):
         rhs_of: dict = {}  # j -> Delta(e_i) Delta(e_j)
         for (a1, b1), c1 in delta[i].items():
+            if T is not None:
+                Tb1 = T[b1]
+                for a2, (m1, d1) in T[a1].items():
+                    F, c = firsts[a2], _times(c1, d1, one)
+                    for b2 in F.keys() & Tb1.keys():
+                        (j, c2), (m2, d2) = F[b2], Tb1[b2]
+                        # a product of nonzero scalars: add_term without its zero test
+                        v, key = _times(_times(c, c2, one), d2, one), (m1, m2)
+                        if (rhs := rhs_of.get(j)) is None:
+                            rhs_of[j] = {key: v}
+                        elif key in rhs:
+                            add_term(rhs, key, v)
+                        else:
+                            rhs[key] = v
+                continue
             Pb1 = P[b1]
             for a2, p1 in P[a1].items():
-                for j, b2, c2 in firsts[a2]:
-                    p2 = Pb1.get(b2)
-                    if p2:
+                F = firsts[a2]
+                for b2 in F.keys() & Pb1.keys():
+                    p2 = Pb1[b2]
+                    for j, c2 in F[b2]:
                         rhs = rhs_of.setdefault(j, {})
                         c = _times(c1, c2, one)
                         for m1, d1 in p1.items():
@@ -322,38 +442,29 @@ def _violations(H: HopfAlgebra, checked: dict, evaluated: dict):
                             for m2, d2 in p2.items():
                                 add_term(rhs, (m1, m2), _times(cd, d2, one))
         Pi = P[i]
-        for j in range(dim):
-            ij = Pi.get(j, _ZERO)
-            if not ij and j not in rhs_of:
-                continue
+        for j in sorted(Pi.keys() | rhs_of.keys()):
             computed += 1
-            if _apply(delta, ij, one) != rhs_of.get(j, {}):
-                checked[fam], evaluated[fam] = done + j + 1, computed
+            if _apply(delta, Pi.get(j, _ZERO), one) != rhs_of.get(j, _ZERO):
+                checked[fam], evaluated[fam] = i * dim + j + 1, computed
                 yield fam, (i, j)
-        done += dim
-        checked[fam], evaluated[fam] = done, computed
+        checked[fam], evaluated[fam] = (i + 1) * dim, computed
 
     eps_unit = sum((_times(a, counit[i], one) for i, a in unit.items()), zero)
     if failed("counit-unit", not eps_unit.is_one()):
         yield ("counit-unit",)
-    # eps(e_i e_j) = eps(e_i) eps(e_j): both sides are zero when e_i e_j = 0
-    # and eps(e_i) or eps(e_j) is
-    fam = "counit-multiplicative"
-    counited = [not c.is_zero() for c in counit]
-    done = computed = 0
-    for i in range(dim):
-        Pi, ci, ui = P[i], counit[i], counited[i]
-        for j in range(dim):
-            ij = Pi.get(j, _ZERO)
-            if not ij and not (ui and counited[j]):
-                continue
-            computed += 1
-            lhs = sum((_times(a, counit[m], one) for m, a in ij.items()), zero)
-            if lhs != _times(ci, counit[j], one):
-                checked[fam], evaluated[fam] = done + j + 1, computed
-                yield fam, (i, j)
-        done += dim
-        checked[fam], evaluated[fam] = done, computed
+    yield from _counit_multiplicative(P, counit, one, zero, checked, evaluated)
+
+
+def axiom_violations(H: HopfAlgebra, checked: dict | None = None,
+                     evaluated: dict | None = None, include_antipode: bool = True):
+    """Every failing instance of the Hopf axioms, lazily and in the order of
+    verify_hopf_axioms; the counts, kept in `checked` and `evaluated`, are
+    exact wherever the caller stops reading."""
+    checked = {} if checked is None else checked
+    evaluated = {} if evaluated is None else evaluated
+    yield from _violations(H, checked, evaluated)
+    if include_antipode:
+        yield from _antipode_violations(H, H.antipode, checked, evaluated)
 
 
 def verify_hopf_axioms(H: HopfAlgebra, include_antipode: bool = True) -> AxiomReport:
@@ -371,13 +482,16 @@ def verify_hopf_axioms(H: HopfAlgebra, include_antipode: bool = True) -> AxiomRe
     run.  ``evaluated`` counts those actually computed; the rest are
     instances whose two sides the supports make empty sums.  D(S3) covers
     46,656 associativity triples and evaluates 1,296.
+
+    When every product cell has one term (kG, k^G, D(G) and every
+    bicrossed product in the standard basis), the walks and
+    comult-multiplicative read table views of the product and of its dual
+    (see _walk and _monomial); the views decide whole blocks that pass, and
+    a block that fails is redone by the per-instance code, so violations
+    and both counts are those of the per-instance code alone.
     """
     report = AxiomReport([], {})
-    families = _violations(H, report.checked, report.evaluated)
-    if include_antipode:
-        families = chain(families, _antipode_violations(H, H.antipode, report.checked,
-                                                        report.evaluated))
-    for item in families:
+    for item in axiom_violations(H, report.checked, report.evaluated, include_antipode):
         if not report.add(*item):
             break
     return report
@@ -429,6 +543,18 @@ def check_work(work: int, dim: int, conductor: int) -> None:
         weight = f" x phi({conductor})^2 = {work * phi ** 2}" if phi > 1 else ""
         raise HopfCapExceeded(f"dimension {dim}: verification work {work}{weight} exceeds "
                               f"cap {HOPF_WORK_CAP}")
+
+
+def weighed_conductor(cocycles: PairedCocycles | None, conductor: int) -> int:
+    """The conductor whose phi(N)**2 weighs a bicrossed product's work in
+    check_work: N when some sigma or tau exponent is nonzero mod N, else 1.
+    With trivial cocycles (None stands for them) every structure constant
+    is the field's zero or one, which _times passes through, so no product
+    of dense scalars is formed."""
+    if cocycles is None:
+        return 1
+    exponents = chain(cocycles.sigma.values(), cocycles.tau.values())
+    return conductor if any(v % cocycles.conductor % conductor for v in exponents) else 1
 
 
 def check_conductor(conductor: int) -> None:
@@ -547,7 +673,7 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     G, Gamma = mp.G, mp.Gamma
     dim = G.order * Gamma.order
     conductor = conductor or (1 if cocycles is None else cocycles.conductor)
-    check_work(bicrossed_work(G.order, Gamma.order), dim, conductor)
+    check_work(bicrossed_work(G.order, Gamma.order), dim, weighed_conductor(cocycles, conductor))
     if cocycles is None:
         cocycles = trivial_paired_cocycles(G, Gamma, conductor)
     if not cocycles.normalized(G, Gamma):

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -404,6 +405,49 @@ def test_build_double_verifies_once(monkeypatch):
         monkeypatch.setattr(hopf, name, counted)
     assert run_cli("build", "double", "s3") == (EXIT_OK, "dim 36, conductor 1, axioms PASS\n")
     assert calls == {"_violations": 1, "_antipode_violations": 1}
+
+
+def _retargeted_mult(text: str, rng: random.Random) -> str:
+    """The dump with one MULT line 'i j : k : c' sent to another basis index."""
+    lines = text.split("\n")
+    dim = int(next(ln for ln in lines if ln.startswith("DIM "))[4:])
+    at = rng.randrange(lines.index("MULT") + 1, lines.index("COMULT"))
+    head, _, rest = lines[at].partition(":")
+    k, _, coeff = rest.partition(":")
+    lines[at] = f"{head}: {rng.choice([x for x in range(dim) if x != int(k)])} :{coeff}"
+    return "\n".join(lines)
+
+
+def _antipode_changed(text: str) -> str:
+    """The dump with S(e_3) = e_4 scaled by 2: two antipode violations."""
+    assert "\n3 : 4 : 1\n" in text
+    return text.replace("\n3 : 4 : 1\n", "\n3 : 4 : 2\n")
+
+
+@pytest.mark.parametrize("corrupt, many", [
+    (lambda text: _retargeted_mult(text, random.Random(1)), True),
+    (_antipode_changed, False),
+])
+def test_verify_hopf_prints_the_first_20_violations(tmp_path, corrupt, many):
+    path = tmp_path / "bad.hopf"
+    path.write_text(corrupt(dump_hopf(drinfeld_double(symmetric(3)))))
+    violations = hopf.verify_hopf_axioms(load_hopf(path.read_text())).violations
+    assert (len(violations) > 20) == many and violations
+    assert run_cli("verify", "hopf", str(path)) == (
+        EXIT_VERIFY, "".join(f"FAIL {v}\n" for v in violations[:20]))
+
+
+S4_TIMES_S4 = "degree 8\n(1 2 3 4)\n(1 2)\n(5 6 7 8)\n(5 6)\n"
+
+
+def test_trivial_cocycles_are_not_weighed_by_the_conductor(tmp_path):
+    # work 17,252,352: under the cap over Q, above it when weighed by
+    # phi(3)**2 = 4; with trivial cocycles every coefficient is one
+    grp = tmp_path / "s4s4.grp"
+    grp.write_text(S4_TIMES_S4)
+    assert run_cli("build", "bicrossed", str(grp), "--g-gens", "(1 2 3 4);(1 2)",
+                   "--gamma-gens", "(5 6 7 8);(5 6)", "--conductor", "3") == (
+        EXIT_OK, "dim 576, conductor 3, axioms PASS\n")
 
 
 def test_hopf_dim_cap_accepts_double_a4():

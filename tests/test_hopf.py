@@ -22,16 +22,21 @@ from hopfseq.groups import alternating, dihedral
 from hopfseq.hopf import (
     HOPF_WORK_CAP,
     HopfAlgebra,
+    HopfCapExceeded,
     HopfError,
     antipode_invertible,
     antipode_is_antihomomorphism,
     bicrossed_work,
     check_work,
+    weighed_conductor,
 )
 from hopfseq import hopf
-from hopfseq.io_formats import dump_hopf, load_hopf
-from hopfseq.perm import inverse
+from hopfseq.cocycles import PairedCocycles
+from hopfseq.io_formats import dump_hopf, load_group, load_hopf
+from hopfseq.matched import from_factorization
+from hopfseq.perm import inverse, parse_cycles
 
+from test_cli import S4_TIMES_S4
 from test_verifier_oracle import CASES as ORACLE_CASES
 
 
@@ -272,6 +277,22 @@ def test_work_cap_weights_the_conductor():
     check_work(bicrossed_work(20, 20), 400, 3)           # 4 x 7.0 M
     with pytest.raises(HopfError):
         check_work(bicrossed_work(6, 6), 36, 1000)       # 160,000 x 20,736
+
+
+def test_a_nonzero_cocycle_exponent_is_weighed_by_the_conductor():
+    # the S4 x S4 product that the CLI builds at conductor 3 is refused once
+    # one sigma exponent is nonzero mod 3; an exponent of 3 is zero mod 3
+    E = load_group(S4_TIMES_S4)
+    G = E.subgroup([parse_cycles(c, 8) for c in ("(1 2 3 4)", "(1 2)")])
+    Gamma = E.subgroup([parse_cycles(c, 8) for c in ("(5 6 7 8)", "(5 6)")])
+    trivial = trivial_paired_cocycles(G, Gamma, 3)
+    assert weighed_conductor(trivial, 3) == weighed_conductor(None, 3) == 1
+    key = next(iter(trivial.sigma))
+    for exponent, weight in ((3, 1), (1, 3), (-1, 3)):
+        cocycles = PairedCocycles(3, {**trivial.sigma, key: exponent}, trivial.tau)
+        assert weighed_conductor(cocycles, 3) == weight
+    with pytest.raises(HopfCapExceeded, match=r"work 17252352 x phi\(3\)\^2 = 69009408 "):
+        bicrossed_product(from_factorization(E, G, Gamma), cocycles)
 
 
 def test_drinfeld_double_dim_cap():
