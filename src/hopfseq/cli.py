@@ -60,12 +60,7 @@ def _resolve_group(spec: str, cap: int) -> PermGroup:
             return load_group(_read_input(spec), name=path.stem, cap=cap)
         except FormatError as exc:
             raise CliError(f"{spec}: {exc}", EXIT_PARSE)
-    try:
-        G = named_group(spec, cap)
-    except GroupError as exc:
-        raise CliError(str(exc), EXIT_PARSE)
-    except CapExceeded as exc:
-        raise CliError(str(exc), EXIT_CAP)
+    G = named_group(spec, cap)
     if G.order > cap:
         raise CliError(f"group order {G.order} exceeds cap {cap}", EXIT_CAP)
     return G
@@ -161,21 +156,14 @@ def _table_sort_key(row):
 
 def cmd_table(args, out) -> int:
     G = _resolve_group(args.target, args.cap_order)
-    try:
-        rows = subgroup_classes(G)
-    except CapExceeded as exc:
-        raise CliError(str(exc), EXIT_CAP)
-    rows = sorted(rows, key=_table_sort_key)
+    rows = sorted(subgroup_classes(G), key=_table_sort_key)
     _emit_table(rows, args.format, out)
     return EXIT_OK
 
 
 def cmd_factorize(args, out) -> int:
     G = _resolve_group(args.target, args.cap_order)
-    try:
-        facts = exact_factorizations(G, proper_only=not args.all)
-    except CapExceeded as exc:
-        raise CliError(str(exc), EXIT_CAP)
+    facts = exact_factorizations(G, proper_only=not args.all)
     print(f"# exact factorizations of {iso_label(G)} "
           f"({'all' if args.all else 'proper'}): {len(facts)}", file=out)
     for f in facts:
@@ -196,40 +184,33 @@ def _build_algebra(args):
         weighed_conductor,
     )
 
-    kind = args.kind
     if args.conductor < 1:
         raise CliError(f"--conductor must be at least 1, got {args.conductor}", EXIT_PARSE)
     check_conductor(args.conductor)
-    if kind in ("group", "dual", "double"):
-        G = _resolve_group(args.target, args.cap_order)
-        # kG, k^G and D(G) are the bicrossed products over (G, 1), (1, G)
-        # and (G, G), built over Q; refuse one too large to verify before
-        # building it
-        g, gamma = {"group": (G.order, 1), "dual": (1, G.order),
-                    "double": (G.order, G.order)}[kind]
-        check_work(bicrossed_work(g, gamma), g * gamma, 1)
+    E = _resolve_group(args.target, args.cap_order)
+    if args.kind == "group":
+        # group_algebra builds kG past the work cap, and cmd_build verifies it
+        check_work(bicrossed_work(E.order, 1), E.order, 1)
+    if args.kind != "bicrossed":
+        # dual_group_algebra and drinfeld_double refuse work too large to
+        # verify before building
         build = {"group": group_algebra, "dual": dual_group_algebra,
-                 "double": drinfeld_double}[kind]
-        return build(G)
-    if kind == "bicrossed":
-        from .matched import from_factorization
+                 "double": drinfeld_double}[args.kind]
+        return build(E, conductor=args.conductor)
+    from .matched import from_factorization
 
-        E = _resolve_group(args.target, args.cap_order)
-        if not (args.g_gens and args.gamma_gens):
-            raise CliError("bicrossed needs --g-gens and --gamma-gens", EXIT_PARSE)
-        try:
-            gg = [parse_cycles(t, E.degree) for t in args.g_gens.split(";")]
-            hg = [parse_cycles(t, E.degree) for t in args.gamma_gens.split(";")]
-            G = E.subgroup(gg)
-            Gamma = E.subgroup(hg)
-        except (PermParseError, GroupError) as exc:
-            raise CliError(str(exc), EXIT_PARSE)
-        # the CLI's products have trivial cocycles, which weighed_conductor
-        # does not weigh by the conductor
-        check_work(bicrossed_work(G.order, Gamma.order), G.order * Gamma.order,
-                   weighed_conductor(None, args.conductor))
-        return bicrossed_product(from_factorization(E, G, Gamma), conductor=args.conductor)
-    raise CliError(f"unknown build kind {kind!r}", EXIT_PARSE)
+    if not (args.g_gens and args.gamma_gens):
+        raise CliError("bicrossed needs --g-gens and --gamma-gens", EXIT_PARSE)
+    gg = [parse_cycles(t, E.degree) for t in args.g_gens.split(";")]
+    hg = [parse_cycles(t, E.degree) for t in args.gamma_gens.split(";")]
+    G = E.subgroup(gg)
+    Gamma = E.subgroup(hg)
+    # bicrossed_product checks this too, but only after from_factorization
+    # has built the pair; the CLI's products have trivial cocycles, which
+    # weighed_conductor does not weigh by the conductor
+    check_work(bicrossed_work(G.order, Gamma.order), G.order * Gamma.order,
+               weighed_conductor(None, args.conductor))
+    return bicrossed_product(from_factorization(E, G, Gamma), conductor=args.conductor)
 
 
 def cmd_build(args, out) -> int:
@@ -266,64 +247,55 @@ def cmd_verify(args, out) -> int:
         for v in shown:
             print(f"FAIL {v}", file=out)
         return EXIT_VERIFY
-    if args.what == "sequence":
-        from .exact import (
-            dualize_sequence,
-            make_abelian_sequence,
-            make_group_quotient_sequence,
-            verify_exact_sequence,
-        )
+    from .exact import (
+        dualize_sequence,
+        make_abelian_sequence,
+        make_group_quotient_sequence,
+        verify_exact_sequence,
+    )
 
-        if args.target.startswith("double:"):
-            from .hopf import drinfeld_double
+    if args.target.startswith("double:"):
+        from .hopf import drinfeld_double
 
-            G = _resolve_group(args.target[len("double:"):], args.cap_order)
-            seq = make_abelian_sequence(drinfeld_double(G))
-        elif args.target.startswith("quotient:"):
-            spec = args.target[len("quotient:"):]
-            gname, _, gens = spec.partition(":")
-            G = _resolve_group(gname, args.cap_order)
-            try:
-                N = G.subgroup([parse_cycles(t, G.degree) for t in gens.split(";")])
-            except (PermParseError, GroupError) as exc:
-                raise CliError(str(exc), EXIT_PARSE)
-            seq = make_group_quotient_sequence(G, N)
-        else:
-            raise CliError("sequence target must be double:<group> or "
-                           "quotient:<group>:<gens>", EXIT_PARSE)
-        status = verify_exact_sequence(seq)
-        dual_status = verify_exact_sequence(dualize_sequence(seq))
-        for key, val in status.items():
-            if key == "witness":
-                continue
-            print(f"{key}: {'PASS' if val else 'FAIL'}", file=out)
-        for key, val in sorted(status["witness"].items()):
-            print(f"  witness {key} = {val}", file=out)
-        print(f"dual_exact: {'PASS' if dual_status['exact'] else 'FAIL'}", file=out)
-        return EXIT_OK if status["exact"] and dual_status["exact"] else EXIT_VERIFY
-    raise CliError(f"unknown verify target {args.what!r}", EXIT_PARSE)
+        G = _resolve_group(args.target[len("double:"):], args.cap_order)
+        seq = make_abelian_sequence(drinfeld_double(G))
+    elif args.target.startswith("quotient:"):
+        spec = args.target[len("quotient:"):]
+        gname, _, gens = spec.partition(":")
+        G = _resolve_group(gname, args.cap_order)
+        N = G.subgroup([parse_cycles(t, G.degree) for t in gens.split(";")])
+        seq = make_group_quotient_sequence(G, N)
+    else:
+        raise CliError("sequence target must be double:<group> or "
+                       "quotient:<group>:<gens>", EXIT_PARSE)
+    status = verify_exact_sequence(seq)
+    dual_status = verify_exact_sequence(dualize_sequence(seq))
+    for key, val in status.items():
+        if key == "witness":
+            continue
+        print(f"{key}: {'PASS' if val else 'FAIL'}", file=out)
+    for key, val in sorted(status["witness"].items()):
+        print(f"  witness {key} = {val}", file=out)
+    print(f"dual_exact: {'PASS' if dual_status['exact'] else 'FAIL'}", file=out)
+    return EXIT_OK if status["exact"] and dual_status["exact"] else EXIT_VERIFY
 
 
 def cmd_compseries(args, out) -> int:
     from .series_cat import comp_series_cat
 
     expr = _parse_expr(args.target, args.cap_order)
+    chains = ("a6", "iterated") if args.chain == "both" else (args.chain,)
+    series = [comp_series_cat(expr, name) for name in chains]
+    for name, ser in zip(chains, series):
+        print(f"chain={name} length={ser.length()}", file=out)
+        for f, st in zip(ser.factors, ser.terminal_status):
+            print(f"  {f.describe()} [{st}]", file=out)
     if args.chain == "both":
-        s1 = comp_series_cat(expr, "a6")
-        s2 = comp_series_cat(expr, "iterated")
-        for name, ser in (("a6", s1), ("iterated", s2)):
-            print(f"chain={name} length={ser.length()}", file=out)
-            for f, st in zip(ser.factors, ser.terminal_status):
-                print(f"  {f.describe()} [{st}]", file=out)
-        same = s1.factor_multiset() == s2.factor_multiset()
+        same = series[0].factor_multiset() == series[1].factor_multiset()
         print("factor multisets " + ("agree" if same else "differ"), file=out)
-        return EXIT_OK
-    ser = comp_series_cat(expr, args.chain)
-    print(f"chain={args.chain} length={ser.length()}", file=out)
-    for f, st in zip(ser.factors, ser.terminal_status):
-        print(f"  {f.describe()} [{st}]", file=out)
-    for line in ser.rule_trace:
-        print(f"# {line}", file=out)
+    else:
+        for line in series[0].rule_trace:
+            print(f"# {line}", file=out)
     return EXIT_OK
 
 
@@ -438,10 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# The error classes a verb may end with, by defining module.  Only the
-# classes of modules already in sys.modules are mapped: the verbs import
-# their modules lazily, and a module that was never imported cannot have
-# raised, so the mapping imports nothing.
+# The error classes a verb may end with, by defining module, beside those
+# of groups and perm, which load with the CLI.  Only the classes of modules
+# already in sys.modules are mapped: the verbs import their modules lazily,
+# and a module that was never imported cannot have raised, so the mapping
+# imports nothing.
 _ERRORS = (("io_formats", "FormatError"), ("hopf", "HopfError"),
            ("catexpr", "LedgerError"), ("series_cat", "SeriesError"))
 
@@ -453,7 +426,7 @@ def _loaded_error(module: str, name: str):
 
 def _handled_errors() -> tuple:
     loaded = (_loaded_error(module, name) for module, name in _ERRORS)
-    return (CliError, CapExceeded, GroupError, *filter(None, loaded))
+    return (CliError, CapExceeded, GroupError, PermParseError, *filter(None, loaded))
 
 
 def _exit_code(exc: Exception) -> int:

@@ -89,9 +89,6 @@ class HopfMorphism:
     def rank(self) -> int:
         return rank_of_columns(list(self.cols), self.source.field)
 
-    def is_injective(self) -> bool:
-        return self.rank() == self.source.dim
-
     def is_surjective(self) -> bool:
         return self.rank() == self.target.dim
 
@@ -451,8 +448,9 @@ def verify_exact_sequence(seq: ExactSequenceH) -> dict:
     status: dict = {}
     if seq.i.verify() or seq.pi.verify():
         raise ExactnessError("maps are not Hopf algebra morphisms")
-    status["injective"] = seq.i.is_injective()
-    status["surjective"] = seq.pi.is_surjective()
+    rank_i, rank_pi = seq.i.rank(), seq.pi.rank()
+    status["injective"] = rank_i == seq.i.source.dim
+    status["surjective"] = rank_pi == seq.pi.target.dim
 
     ker_pi = nullspace_of_map(list(seq.pi.cols), H.field)
     ideal = _generated_ideal(seq.i)
@@ -465,7 +463,7 @@ def verify_exact_sequence(seq: ExactSequenceH) -> dict:
     status["exact"] = all(status.values())
     # dimension witnesses for the report
     status["witness"] = {
-        "rank_i": seq.i.rank(), "rank_pi": seq.pi.rank(),
+        "rank_i": rank_i, "rank_pi": rank_pi,
         "dim_ker_pi": len(ker_pi), "dim_ideal": ideal.rank,
         "dim_coinvariants": len(coin),
         "dims": (Hp.dim, H.dim, Hpp.dim),
@@ -532,19 +530,15 @@ def identify_dual_form(H: HopfAlgebra) -> PermGroup | None:
 
 
 class FactorDesc(Frozen):
-    """A composition factor: kQ or k^Q for a simple group Q, or a raw algebra."""
+    """A composition factor: kQ or k^Q for a simple group Q."""
 
     __slots__ = ("kind", "label", "dim")
 
     def __init__(self, kind: str, label: str, dim: int):
-        self._set(kind, label, dim)          # kind: "group" | "dual" | "raw"
+        self._set(kind, label, dim)          # kind: "group" | "dual"
 
     def pretty(self) -> str:
-        if self.kind == "group":
-            return f"k[{self.label}]"
-        if self.kind == "dual":
-            return f"k^[{self.label}]"
-        return f"raw(dim {self.dim})"
+        return f"k[{self.label}]" if self.kind == "group" else f"k^[{self.label}]"
 
 
 class HopfCompSeries:

@@ -635,7 +635,12 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
 
 
 def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
-    """kG: basis the group elements, every basis vector group-like."""
+    """kG: basis the group elements, every basis vector group-like.
+
+    The conductor cap is checked before the field is built.  The work cap
+    is not: kG is built past what can be verified in full (the tests
+    sample kA6), so a caller that verifies it checks bicrossed_work(n, 1)."""
+    check_conductor(conductor)
     field = get_field(conductor)
     one = field.one
     elems = G.elements
@@ -652,7 +657,11 @@ def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
 
 
 def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
-    """k^G = (kG)*: orthogonal idempotents e_g, Delta(e_g) = sum_{st=g} e_s (x) e_t."""
+    """k^G = (kG)*: orthogonal idempotents e_g, Delta(e_g) = sum_{st=g} e_s (x) e_t.
+    Both caps are checked before any table; every coefficient is one, so the
+    work is not weighed by the conductor."""
+    check_conductor(conductor)
+    check_work(bicrossed_work(1, G.order), G.order, 1)
     D = dual_hopf(group_algebra(G, conductor))
     labels = [f"e[{cycle_string(g)}]" for g in G.elements]
     return HopfAlgebra(D.field, labels, D.mult, D.unit, D.comult, D.counit, D.antipode)
@@ -673,6 +682,7 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     G, Gamma = mp.G, mp.Gamma
     dim = G.order * Gamma.order
     conductor = conductor or (1 if cocycles is None else cocycles.conductor)
+    check_conductor(conductor)
     check_work(bicrossed_work(G.order, Gamma.order), dim, weighed_conductor(cocycles, conductor))
     if cocycles is None:
         cocycles = trivial_paired_cocycles(G, Gamma, conductor)
@@ -714,14 +724,16 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     return H
 
 
-def drinfeld_double(G: PermGroup) -> HopfAlgebra:
+def drinfeld_double(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     """D(G): the bicrossed product over (G, G), adjoint <| and trivial |>.
 
-    The cap is checked before the pair's |G|^2 action entries are built."""
+    The caps are checked before the pair's |G|^2 action entries are built;
+    with trivial cocycles the work is not weighed by the conductor."""
     from .matched import drinfeld_pair
 
+    check_conductor(conductor)
     check_work(bicrossed_work(G.order, G.order), G.order ** 2, 1)
-    return bicrossed_product(drinfeld_pair(G))
+    return bicrossed_product(drinfeld_pair(G), conductor=conductor)
 
 
 def dual_product(H: HopfAlgebra) -> list[dict]:

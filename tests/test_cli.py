@@ -215,6 +215,11 @@ BAD_INPUTS = [
     (("ledger", "ty:1_1"), {}, EXIT_PARSE),
     (("ledger", "ty: 7"), {}, EXIT_PARSE),
     (("ledger", "cpq:3,1_1"), {}, EXIT_PARSE),
+    # a group engine refusal and a point past the degree, which reach the
+    # exit-code map of the CLI unwrapped
+    (("table", "a7"), {}, EXIT_CAP),
+    (("factorize", "a7"), {}, EXIT_CAP),
+    (("verify", "sequence", "quotient:s4:(1 9)"), {}, EXIT_PARSE),
 ]
 
 
@@ -448,6 +453,15 @@ def test_trivial_cocycles_are_not_weighed_by_the_conductor(tmp_path):
     assert run_cli("build", "bicrossed", str(grp), "--g-gens", "(1 2 3 4);(1 2)",
                    "--gamma-gens", "(5 6 7 8);(5 6)", "--conductor", "3") == (
         EXIT_OK, "dim 576, conductor 3, axioms PASS\n")
+
+
+@pytest.mark.parametrize("kind, dim", [("group", 6), ("dual", 6), ("double", 36)])
+def test_build_takes_the_conductor(tmp_path, kind, dim):
+    path = tmp_path / "s3.hopf"
+    assert run_cli("build", kind, "s3", "--conductor", "3", "-o", str(path)) == (
+        EXIT_OK, f"dim {dim}, conductor 3, axioms PASS\nwrote {path}\n")
+    assert load_hopf(path.read_text()).field.conductor == 3
+    assert run_cli("verify", "hopf", str(path)) == (EXIT_OK, f"dim {dim}: all Hopf axioms PASS\n")
 
 
 def test_hopf_dim_cap_accepts_double_a4():

@@ -33,7 +33,7 @@ from hopfseq.hopf import (
 from hopfseq import hopf
 from hopfseq.cocycles import PairedCocycles
 from hopfseq.io_formats import dump_hopf, load_group, load_hopf
-from hopfseq.matched import from_factorization
+from hopfseq.matched import drinfeld_pair, from_factorization
 from hopfseq.perm import inverse, parse_cycles
 
 from test_cli import S4_TIMES_S4
@@ -299,6 +299,30 @@ def test_drinfeld_double_dim_cap():
     assert bicrossed_work(60, 60) > HOPF_WORK_CAP
     with pytest.raises(HopfError):
         drinfeld_double(alternating(5))
+
+
+def _no_field(conductor):
+    raise AssertionError(f"Q(zeta_{conductor}) was built before the caps were checked")
+
+
+def test_dual_group_algebra_refuses_over_the_work_cap_at_once(monkeypatch):
+    # k^Z576 is refused before its field is built, and so before any table
+    monkeypatch.setattr(hopf, "get_field", _no_field)
+    with pytest.raises(HopfCapExceeded,
+                       match=f"^dimension 576: verification work {bicrossed_work(1, 576)} "):
+        dual_group_algebra(cyclic(576))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: group_algebra(symmetric(3), 1001),
+    lambda: dual_group_algebra(symmetric(3), 1001),
+    lambda: drinfeld_double(symmetric(3), conductor=1001),
+    lambda: bicrossed_product(drinfeld_pair(symmetric(3)), conductor=1001),
+], ids=["group", "dual", "double", "bicrossed"])
+def test_constructors_refuse_the_conductor_before_its_field(monkeypatch, build):
+    monkeypatch.setattr(hopf, "get_field", _no_field)
+    with pytest.raises(HopfCapExceeded, match=r"^conductor 1001 exceeds cap 1000$"):
+        build()
 
 
 def test_solve_antipode_recovers_group_inverse():
