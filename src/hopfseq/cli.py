@@ -1,6 +1,9 @@
 """Command-line surface.
 
-Verbs: table, factorize, build, verify, compseries, certify, ledger.
+Verbs: table, factorize, build, verify, compseries, certify, ledger, group.
+One table, VERBS, lists each verb with its arguments, choices and defaults;
+``parse_args`` reads the command line against it, and the help and usage
+text are generated from it.
 Exit codes: 0 all verifications passed, 1 a verification failed,
 2 parse/usage errors, 3 a size cap was exceeded, 141 (128 + SIGPIPE) the
 reader closed stdout.  All output is byte-deterministic for fixed inputs
@@ -13,11 +16,12 @@ and ``verify hopf`` never loads the categorical modules.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 # the modules of every verb import groups and perm, so these load with the CLI
@@ -349,65 +353,196 @@ def cmd_group(args, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hopfseq",
-        description="exact sequences of Hopf algebras and fusion-category "
-                    "dimension arithmetic")
-    ap.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap-order", type=int, default=None,
-                        help=f"largest allowed group order (default: env HOPFSEQ_CAP, "
-                             f"else {ORDER_CAP})")
-    sub = ap.add_subparsers(dest="verb", required=True)
+# The verb table: verb -> (handler, one-line help, positionals, options).  A
+# positional is (name, the values it accepts or None).  An option maps its
+# long name to (type, default, alias, help): int and str take a value, bool
+# is a flag and a tuple lists the values it accepts.  Every verb also takes
+# the options of COMMON.
+COMMON = {"--cap-order": (int, None, None, "largest allowed group order (default: env "
+                          f"HOPFSEQ_CAP, else {ORDER_CAP})")}
+OUTPUT = {"--output": (str, "", "-o", "write the file here")}
+VERBS = {
+    "table": (cmd_table, "subgroup classes of a group", [("target", None)],
+              {"--format": (("markdown", "csv", "text"), "markdown", None, "table layout")}),
+    "factorize": (cmd_factorize, "exact factorizations", [("target", None)],
+                  {"--all": (bool, False, None, "include improper pairs")}),
+    "build": (cmd_build, "construct and verify a Hopf algebra",
+              [("kind", ("group", "dual", "double", "bicrossed")), ("target", None)],
+              {"--g-gens": (str, "", None, "generators of G, cycles joined by ';'"),
+               "--gamma-gens": (str, "", None, "generators of Gamma, cycles joined by ';'"),
+               "--conductor": (int, 1, None, "build over Q(zeta_N)"), **OUTPUT}),
+    "verify": (cmd_verify, "verify a dump or a canonical sequence",
+               [("what", ("hopf", "sequence")), ("target", None)], {}),
+    "compseries": (cmd_compseries, "categorical composition series", [("target", None)],
+                   {"--chain": (("a6", "iterated", "both"), "both", None, "which chain")}),
+    "certify": (cmd_certify, "simplicity certificates", [("target", None)], {}),
+    "ledger": (cmd_ledger, "ledger facts of a category expression", [("target", None)], {}),
+    "group": (cmd_group, "inspect or export a named group", [("target", None)], OUTPUT),
+}
+# what the command line takes before its verb, beside -h
+TOP = {"--version": (bool, None, None, "print the version and exit")}
 
-    p = sub.add_parser("table", help="subgroup classes of a group", parents=[common])
-    p.add_argument("target")
-    p.add_argument("--format", choices=("markdown", "csv", "text"), default="markdown")
-    p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("factorize", help="exact factorizations", parents=[common])
-    p.add_argument("target")
-    p.add_argument("--all", action="store_true", help="include improper pairs")
-    p.set_defaults(func=cmd_factorize)
+class UsageError(Exception):
+    """A command line the verb table refuses; ``verb`` is None when the
+    refusal is not one verb's."""
 
-    p = sub.add_parser("build", help="construct and verify a Hopf algebra",
-                       parents=[common])
-    p.add_argument("kind", choices=("group", "dual", "double", "bicrossed"))
-    p.add_argument("target")
-    p.add_argument("--g-gens", default="")
-    p.add_argument("--gamma-gens", default="")
-    p.add_argument("--conductor", type=int, default=1)
-    p.add_argument("-o", "--output", default="")
-    p.set_defaults(func=cmd_build)
+    def __init__(self, verb: str | None, message: str):
+        self.verb = verb
+        super().__init__(message)
 
-    p = sub.add_parser("verify", help="verify a dump or a canonical sequence",
-                       parents=[common])
-    p.add_argument("what", choices=("hopf", "sequence"))
-    p.add_argument("target")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("compseries", help="categorical composition series",
-                       parents=[common])
-    p.add_argument("target")
-    p.add_argument("--chain", choices=("a6", "iterated", "both"), default="both")
-    p.set_defaults(func=cmd_compseries)
+def _options(verb: str | None) -> dict:
+    return TOP if verb is None else {**COMMON, **VERBS[verb][3]}
 
-    p = sub.add_parser("certify", help="simplicity certificates", parents=[common])
-    p.add_argument("target")
-    p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("ledger", help="ledger facts of a category expression",
-                       parents=[common])
-    p.add_argument("target")
-    p.set_defaults(func=cmd_ledger)
+def _dest(name: str) -> str:
+    """The field of an option: --g-gens sets g_gens."""
+    return name[2:].replace("-", "_")
 
-    p = sub.add_parser("group", help="inspect or export a named group",
-                       parents=[common])
-    p.add_argument("target")
-    p.add_argument("-o", "--output", default="")
-    p.set_defaults(func=cmd_group)
-    return ap
+
+def _metavar(name: str, kind) -> str:
+    if kind is bool:
+        return ""
+    if isinstance(kind, tuple):
+        return " {" + ",".join(kind) + "}"
+    return " N" if kind is int else " " + _dest(name).upper()
+
+
+def _usage(verb: str | None) -> str:
+    opts = "".join(f" [{alias or name}{_metavar(name, kind)}]"
+                   for name, (kind, _, alias, _) in _options(verb).items())
+    if verb is None:
+        return f"usage: hopfseq [-h]{opts} {{{','.join(VERBS)}}} ..."
+    places = "".join(f" {{{','.join(c)}}}" if c else f" {n}" for n, c in VERBS[verb][2])
+    return f"usage: hopfseq {verb} [-h]{opts}{places}"
+
+
+def _help(verb: str | None) -> str:
+    if verb is None:
+        head = "exact sequences of Hopf algebras and fusion-category dimension arithmetic"
+        rows, foot = [(v, VERBS[v][1]) for v in VERBS], ["", "'hopfseq VERB -h' lists "
+                                                          "the options of a verb."]
+    else:
+        head, foot = VERBS[verb][1], []
+        rows = [(n, "one of {" + ",".join(c) + "}" if c else "") for n, c in VERBS[verb][2]]
+    rows.append(("-h, --help", "print this help and exit"))
+    for name, (kind, default, alias, text) in _options(verb).items():
+        shown = f" (default: {default})" if default not in (None, False, "") else ""
+        rows.append((f"{alias + ', ' if alias else ''}{name}{_metavar(name, kind)}",
+                     text + shown))
+    width = max(len(flag) for flag, _ in rows) + 2
+    return "\n".join([_usage(verb), "", head, ""]
+                     + [f"  {flag:<{width}}{text}".rstrip() for flag, text in rows] + foot)
+
+
+def _kinds(verb: str | None, tokens: list[str]) -> list:
+    """How the command line reads each token: an (option, explicit value or
+    None) pair, ("", token) for an option the verb does not take, None for a
+    positional, and "--" for the "--" that ends the options.  A long option
+    may be any unique prefix of its name; a token that looks like a negative
+    number, or holds a blank, is a positional."""
+    names = {"-h": "-h", "--help": "-h"}
+    for name, (_, _, alias, _) in _options(verb).items():
+        names[name] = name
+        if alias:
+            names[alias] = name
+    kinds, ended = [], False
+    for token in tokens:
+        head, eq, value = token.partition("=")
+        value = value if eq else None
+        if ended or token[:1] != "-" or token == "-":
+            kinds.append(None)
+        elif token == "--":
+            kinds.append("--")
+            ended = True
+        elif token in names:
+            kinds.append((names[token], None))
+        elif eq and head in names:
+            kinds.append((names[head], value))
+        elif token[1] != "-" and token[:2] in names:  # a short option and its value: -ofile
+            kinds.append((names[token[:2]], token[2:]))
+        elif token[1] == "-" and (found := sorted(n for n in names if n.startswith(head))):
+            if len(found) > 1:
+                raise UsageError(verb, f"ambiguous option: {head} could match {', '.join(found)}")
+            kinds.append((names[found[0]], value))
+        elif re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+            kinds.append(None)
+        else:
+            kinds.append(("", token))
+    return kinds
+
+
+def _value(verb: str | None, name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(verb, f"argument {name}: invalid int value: {text!r}")
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(verb, f"argument {name}: invalid choice: {text!r} "
+                               f"(choose from {', '.join(kind)})")
+    return text
+
+
+def _no_value(verb: str | None, name: str, value: str | None) -> None:
+    if value is not None:
+        raise UsageError(verb, f"argument {name}: takes no value, got {value!r}")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The verb, its ``func`` and a field for each positional and option of
+    its row in VERBS, or the text that -h or --version asks for; UsageError
+    if the command line is refused.  Options may
+    come anywhere after the verb, as --name value or --name=value, and a
+    repeated option keeps its last value."""
+    unknown = []
+    for at, kind in enumerate(_kinds(None, argv)):
+        if kind is None or kind == "--":  # the verb, then the verb's own line
+            break
+        name, value = kind
+        if name:
+            _no_value(None, name, value)
+            return _help(None) if name == "-h" else __version__
+        unknown.append(argv[at])
+    else:
+        raise UsageError(None, "the following arguments are required: verb")
+    verb, tokens = _value(None, "verb", tuple(VERBS), argv[at]), argv[at + 1:]
+    func, _, places, _ = VERBS[verb]
+    options = _options(verb)
+    fields = {"verb": verb, "func": func, **{_dest(n): spec[1] for n, spec in options.items()}}
+    places, kinds, at = list(places), _kinds(verb, tokens), 0
+    while at < len(tokens):
+        token, kind = tokens[at], kinds[at]
+        at += 1
+        if kind == "--":
+            continue
+        if kind is None and places:
+            name, choices = places.pop(0)
+            fields[name] = _value(verb, name, choices, token)
+            continue
+        name, value = kind or ("", token)
+        if not name:  # a positional past the last, or an option the verb lacks
+            unknown.append(token)
+        elif name == "-h":
+            _no_value(verb, name, value)
+            return _help(verb)
+        else:
+            type_ = options[name][0]
+            if type_ is bool:
+                _no_value(verb, name, value)
+                value = True
+            elif value is None:
+                if at == len(tokens) or kinds[at] is not None:
+                    raise UsageError(verb, f"argument {name}: expected one argument")
+                value, at = tokens[at], at + 1
+            fields[_dest(name)] = _value(verb, name, type_, value)
+    if places:
+        raise UsageError(verb, "the following arguments are required: "
+                               + ", ".join(name for name, _ in places))
+    if unknown:
+        raise UsageError(None, "unrecognized arguments: " + " ".join(map(repr, unknown)))
+    return SimpleNamespace(**fields)
 
 
 # The error classes a verb may end with, by defining module, beside those
@@ -453,13 +588,18 @@ def _run(args, out) -> int:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_PARSE if exc.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        prog = "hopfseq" if exc.verb is None else f"hopfseq {exc.verb}"
+        print(f"{_usage(exc.verb)}\n{prog}: error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     try:
-        code = _run(args, out)
+        if isinstance(args, str):  # the help or the version
+            print(args, file=out)
+            code = EXIT_OK
+        else:
+            code = _run(args, out)
         out.flush()  # here, so that a closed pipe raises inside the try
     except BrokenPipeError:
         # the reader has gone; stdout goes to devnull so that the flush at

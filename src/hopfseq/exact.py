@@ -35,6 +35,8 @@ from .hopf import (
     HopfAlgebra,
     HopfError,
     bicrossed_product,
+    bicrossed_work,
+    check_work,
     dual_group_algebra,
     dual_hopf,
     dual_product,
@@ -497,7 +499,11 @@ def make_abelian_sequence(H: HopfAlgebra) -> ExactSequenceH:
 
 def make_group_quotient_sequence(G: PermGroup, Ngrp: PermGroup,
                                  conductor: int = 1) -> ExactSequenceH:
-    """k -> kN -> kG -> k(G/N) -> k for a normal subgroup N of G."""
+    """k -> kN -> kG -> k(G/N) -> k for a normal subgroup N of G.
+
+    Refuses (HopfCapExceeded) a G whose kG is above the verification work
+    cap, as ``build group`` does, before any quotient or algebra is built."""
+    check_work(bicrossed_work(G.order, 1), G.order, conductor)
     Q, proj = quotient_group(G, Ngrp)
     HN = group_algebra(Ngrp, conductor=conductor)
     HG = group_algebra(G, conductor=conductor)

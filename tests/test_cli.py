@@ -220,6 +220,8 @@ BAD_INPUTS = [
     (("table", "a7"), {}, EXIT_CAP),
     (("factorize", "a7"), {}, EXIT_CAP),
     (("verify", "sequence", "quotient:s4:(1 9)"), {}, EXIT_PARSE),
+    # kS6 -> kZ2: kS6 is above the verification work cap, as in build group s6
+    (("verify", "sequence", "quotient:s6:(1 2 3);(2 3 4 5 6)"), {}, EXIT_CAP),
 ]
 
 

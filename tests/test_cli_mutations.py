@@ -3,8 +3,8 @@
 Each case mutates the target of a verb, or the bytes of a group file or of a
 D(S3) dump, and runs it through ``cli.main`` in-process.  Whatever the input,
 a run ends with exit 0-3 and raises nothing; a refusal (exit 2 or 3) prints
-exactly one ``error:`` line, and argparse's own usage errors (a target that
-starts with ``-``, say) keep argparse's usage and error lines on stderr.
+exactly one ``error:`` line, and the command line's own usage errors (a
+target that starts with ``-``, say) keep their usage and error lines on stderr.
 The corpus comes from ``random`` with fixed seeds, so it is the same on
 every run.
 """
@@ -149,7 +149,7 @@ def _check(argv: list[str], capsys) -> None:
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3), (argv, code, text)
     if code in (2, 3) and not text:
-        # argparse refused the command line before any verb ran
+        # the command line was refused before any verb ran
         lines = err.splitlines()
         assert code == 2 and lines[0].startswith("usage: hopfseq"), (argv, err)
         assert lines[1].startswith("hopfseq") and ": error: " in lines[1], (argv, err)
@@ -162,7 +162,6 @@ def _check(argv: list[str], capsys) -> None:
 def quiet_env(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)  # where the relative paths of TARGETS do not exist
     monkeypatch.delenv("HOPFSEQ_CAP", raising=False)
-    monkeypatch.setenv("COLUMNS", "1000")  # argparse's usage on one line
 
 
 def test_mutated_targets_keep_the_error_contract(quiet_env, capsys):

@@ -129,6 +129,10 @@ def _modules_after(statement: str) -> set[str]:
     return set(done.stdout.split())
 
 
+# argparse, the gettext it loads, and the locale its first translated string loads
+COMMAND_LINE_LIBRARIES = {"argparse", "gettext", "locale"}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # against a bare interpreter, so that what site preloads does not count
     bare = _modules_after("pass")
@@ -136,6 +140,8 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # the CLI loads the modules of a verb inside the verb
     assert {m for m in added if m.startswith("hopfseq")} == {
         "hopfseq", "hopfseq.cli", "hopfseq.groups", "hopfseq.perm"}, sorted(added)
+    # the verb table parses the command line without a parser library
+    assert not added & COMMAND_LINE_LIBRARIES, sorted(added)
     # every public name, so every hopfseq module
     added = _modules_after("import hopfseq.cli\nfrom hopfseq import *") - bare
     assert "hopfseq.exact" in added and "hopfseq.series_cat" in added
@@ -165,6 +171,12 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     assert not loaded("verify", "hopf", str(ds3)) & {"hopfseq.cocycles", "hopfseq.matched"}
     # the pivots its eliminations invert are 1 and -1, their own inverses
     assert "fractions" not in loaded("verify", "sequence", "double:s3")
+    bare = _modules_after("pass")
+    for argv in (("table", "a5"), ("factorize", str(s5)), ("build", "double", "s3"),
+                 ("verify", "hopf", str(ds3)), ("verify", "sequence", "quotient:s3:(1 2 3)"),
+                 ("compseries", "vec:s4"), ("certify", "ty:5"), ("ledger", "ty:7"),
+                 ("group", "a5")):
+        assert not (loaded(*argv) - bare) & COMMAND_LINE_LIBRARIES, argv
 
 
 def test_public_names_are_the_defining_modules_objects():
