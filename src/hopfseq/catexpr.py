@@ -2,14 +2,15 @@
 
 Nodes carry only ledger facts (Frobenius-Perron dimension, pointedness,
 integrality, type data); associators and module-category data are labels,
-never computed with.  Type data is stored as (squared dimension,
-multiplicity) pairs so that non-integral dimensions like sqrt(p) stay in
-exact rational arithmetic.
+never computed with.  Every Frobenius-Perron dimension here is an integer:
+|G|, 2p, pq^2, and their products and squares.  Type data is stored as
+(squared dimension, multiplicity) pairs so that non-integral dimensions
+like sqrt(p) stay in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import isqrt
 
 from .cocycles import TwoCocycle
 from .groups import CapExceeded, PermGroup, is_prime, iso_label
@@ -108,15 +109,15 @@ def center(a: CatExpr) -> CatExpr:
 # ledger facts
 
 
-def fpdim(c: CatExpr) -> Fraction:
+def fpdim(c: CatExpr) -> int:
     if c.kind in ("rep", "vec", "gt"):
-        return Fraction(c.group.order)
+        return c.group.order
     if c.kind == "ty":
-        return Fraction(2 * c.p)
+        return 2 * c.p
     if c.kind == "cpq":
-        return Fraction(c.p * c.q * c.q)
+        return c.p * c.q * c.q
     if c.kind == "deligne":
-        out = Fraction(1)
+        out = 1
         for part in c.parts:
             out *= fpdim(part)
         return out
@@ -132,15 +133,15 @@ def type_data(c: CatExpr):
     squared dimension p.
     """
     if c.kind == "vec":
-        return ((Fraction(1), c.group.order),)
+        return ((1, c.group.order),)
     if c.kind == "ty":
-        return ((Fraction(1), c.p), (Fraction(c.p), 1))
+        return ((1, c.p), (c.p, 1))
     if c.kind == "deligne":
         left = type_data(c.parts[0])
         right = type_data(c.parts[1])
         if left is None or right is None:
             return None
-        out: dict[Fraction, int] = {}
+        out: dict[int, int] = {}
         for d1, m1 in left:
             for d2, m2 in right:
                 out[d1 * d2] = out.get(d1 * d2, 0) + m1 * m2
@@ -150,10 +151,7 @@ def type_data(c: CatExpr):
 
 def validate_type(pairs, total) -> bool:
     """Check sum of multiplicity * dimension^2 against the total dimension."""
-    acc = Fraction(0)
-    for dim, mult in pairs:
-        acc += Fraction(mult) * Fraction(dim) ** 2
-    return acc == Fraction(total)
+    return sum(mult * dim * dim for dim, mult in pairs) == total
 
 
 def is_integral(c: CatExpr) -> bool | None:
@@ -165,17 +163,7 @@ def is_integral(c: CatExpr) -> bool | None:
         if c.kind == "cpq":
             return True
         return None
-    for dim_sq, _mult in data:
-        if dim_sq.denominator != 1 or not _is_square(dim_sq.numerator):
-            return False
-    return True
-
-
-def _is_square(n: int) -> bool:
-    r = int(n ** 0.5)
-    while r * r < n:
-        r += 1
-    return r * r == n
+    return all(isqrt(dim_sq) ** 2 == dim_sq for dim_sq, _mult in data)
 
 
 def is_pointed(c: CatExpr) -> bool | None:
@@ -196,7 +184,7 @@ def cat_factorization_from_group(fact) -> tuple[CatExpr, CatExpr]:
     if not fact.verify():
         raise LedgerError("not an exact factorization")
     left, right = vec_g(fact.left), vec_g(fact.right)
-    if fpdim(left) * fpdim(right) != Fraction(fact.ambient.order):
+    if fpdim(left) * fpdim(right) != fact.ambient.order:
         raise LedgerError("dimension identity fails")
     return left, right
 

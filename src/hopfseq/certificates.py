@@ -301,7 +301,7 @@ def _ty_certificate(c: CatExpr) -> SimplicityCertificate:
     # a ty node comes from tambara_yamagami, which has checked that p is
     # prime, so its dimension 2p has the two prime factors 2 and p
     p = c.p
-    total = int(fpdim(c))
+    total = fpdim(c)
     cert = SimplicityCertificate(target=c.describe(), verdict="INCONCLUSIVE")
     cert.axioms_used = ("prime-fpdim-pointed",
                         "pointed-factorization-group-theoretical")
@@ -331,7 +331,7 @@ def _ty_certificate(c: CatExpr) -> SimplicityCertificate:
 
 def _cpq_certificate(c: CatExpr) -> SimplicityCertificate:
     p, q = c.p, c.q
-    total = int(fpdim(c))
+    total = fpdim(c)
     cert = SimplicityCertificate(target=c.describe(), verdict="INCONCLUSIVE")
     cert.axioms_used = ("prime-fpdim-pointed", "prime-square-fpdim-pointed",
                         "pq-fpdim-pointed", "cpq-not-group-theoretical",

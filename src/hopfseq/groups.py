@@ -8,13 +8,15 @@ maps are orbits read from one breadth-first walk along the generators
 subgroup: the commutator subgroup, the normal subgroups and simplicity
 come from it.  Everything is exhaustive and exact; sizes are capped
 (default 10,000 elements and 10^7 perm entries for closures, 1,000
-elements for subgroup lattices).
+elements for subgroup lattices), and so is the work of a subgroup lattice
+and the number of exact factorizations it yields.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache, partial
+from operator import itemgetter
 
 from .perm import (
     Perm,
@@ -34,6 +36,19 @@ SUBGROUP_CAP = 1_000
 # and the regular A7 of A7/1 (6,350,400) 0.6 s and 77 MB; Z10000 (10^8)
 # took 17 s and 780 MB.  Measured on 2 CPUs, Python 3.11.7.
 ENTRY_CAP = 10_000_000
+# The lattice's work: each class of subgroups it takes up tries each of the
+# nontrivial cyclic subgroups, so the classes times the cyclic subgroups.  A
+# step costs from 3 us (in (Z2)^7) to 38 us (in D500, order 1000): S6 takes
+# 20,216 steps, D500 16,352 and Z2^6 x Z13 (order 832) 717,550, for a cold
+# `hopfseq table` of 0.4, 1.3 and 17 s; (Z2)^7 (3,709,924 steps) took 15.5 s
+# and 95 MB and printed 29,212 rows.  The cap is counted as each class is
+# found, so a refusal comes before most of the work.
+LATTICE_WORK_CAP = 1_000_000
+# The factorizations found before the swap dedupe: each is built and
+# verified, about 2.4 ms at order 1000 (45,007 in Z10^3 took 106 s) and
+# 0.4 ms at order 160 ((Z2)^4 x Z10, 20,833 in 8.4 s).  They are counted
+# before any is built, so (Z2)^6, with over 700,000, is refused at once.
+FACTORIZATION_CAP = 25_000
 
 
 class CapExceeded(RuntimeError):
@@ -319,9 +334,10 @@ def class_metrics(G: PermGroup, T: PermGroup) -> tuple[int, int, int]:
 
 
 def normalizer(G: PermGroup, T: PermGroup) -> PermGroup:
+    """The g in G with g T g^-1 = T: those mapping T's generators into T."""
     tset = T.element_set()
     elems = [g for g in G.elements
-             if all(conjugate(g, t) in tset for t in T.elements)]
+             if all(conjugate(g, t) in tset for t in T.generators)]
     return from_elements(G.degree, elems)
 
 
@@ -549,17 +565,20 @@ class _Cayley:
     ``mul[a][b]`` is the index of a*b and ``conj[g][x]`` that of g x g^-1;
     each row is an ``array('H')``, which holds |G| <= SUBGROUP_CAP.  The rows
     are filled by walking G from the identity along its generators, using
-    row(a*s) = row(a) o row(s) for both tables.
+    row(a*s) = row(a) o row(s) for both tables.  ``inner`` holds each
+    distinct conjugation row once, in the order of the least g giving it: g
+    and gz give one row for z central.
     """
 
-    __slots__ = ("elements", "index", "gens", "mul", "conj")
+    __slots__ = ("elements", "index", "gens", "mul", "conj", "inner")
 
     def __init__(self, G: PermGroup):
         elems = G.elements
         index = G.element_index()
         gens = sorted({index[s] for s in G.generators} - {0})
-        gen_mul = {s: [index[compose(elems[s], x)] for x in elems] for s in gens}
-        gen_conj = {s: [index[conjugate(elems[s], x)] for x in elems] for s in gens}
+        # row(a*s) = row(a) o row(s), read off row(a) by these getters
+        gen_mul = {s: itemgetter(*[index[compose(elems[s], x)] for x in elems]) for s in gens}
+        gen_conj = {s: itemgetter(*[index[conjugate(elems[s], x)] for x in elems]) for s in gens}
         mul: list = [None] * len(elems)
         conj: list = [None] * len(elems)
         mul[0] = conj[0] = array("H", range(len(elems)))
@@ -571,8 +590,8 @@ class _Cayley:
                 for s in gens:
                     b = ma[s]
                     if mul[b] is None:
-                        mul[b] = array("H", [ma[y] for y in gen_mul[s]])
-                        conj[b] = array("H", [ca[y] for y in gen_conj[s]])
+                        mul[b] = array("H", gen_mul[s](ma))
+                        conj[b] = array("H", gen_conj[s](ca))
                         new.append(b)
             frontier = new
         self.elements = elems
@@ -580,6 +599,10 @@ class _Cayley:
         self.gens = gens
         self.mul = mul
         self.conj = conj
+        inner: dict[bytes, array] = {}
+        for row in conj:
+            inner.setdefault(row.tobytes(), row)
+        self.inner = list(inner.values())
 
     def indices(self, perms) -> frozenset:
         index = self.index
@@ -589,9 +612,12 @@ class _Cayley:
         elems = self.elements
         return frozenset([elems[i] for i in idx])
 
-    def normalizer(self, sub: frozenset) -> list:
-        """The conjugation rows of the g in G with g sub g^-1 = sub."""
-        return [row for row in self.conj if all(row[x] in sub for x in sub)]
+    def normalizer(self, sub: frozenset, gens) -> list:
+        """The conjugation rows of the g in G with g sub g^-1 = sub, for the
+        index set ``sub`` generated by the indices ``gens``.  Conjugation by g
+        is an automorphism, so g<S>g^-1 = <gSg^-1>: a row that maps the
+        generators into sub maps sub onto itself, as the orders agree."""
+        return [row for row in self.inner if all(row[x] in sub for x in gens)]
 
 
 # one group's tables at a time: a lattice and the factorizations read from it
@@ -608,13 +634,15 @@ def _join(mul: list, H: frozenset, gens: tuple[int, ...]) -> frozenset:
     representatives are closed under left multiplication by ``gens``.
     """
     elems = set(H)
+    # row u gives the coset uH; the index 0 (u*0 = u, in uH) makes the
+    # getter return a tuple even when H is trivial
+    coset = itemgetter(0, *H)
     reps = [0]
     for t in reps:
         for s in gens:
             u = mul[s][t]
             if u not in elems:
-                row = mul[u]
-                elems.update([row[h] for h in H])
+                elems.update(coset(mul[u]))
                 reps.append(u)
     return frozenset(elems)
 
@@ -630,15 +658,20 @@ def _subgroup_lattice(G: PermGroup) -> tuple[tuple[frozenset, tuple[Perm, ...], 
     least orbit member under ``key=sorted``, and its generators are those of
     the subgroup found, conjugated by the least g in G that carries it to the
     representative.  The work runs on element indices over the Cayley tables
-    of G; perm frozensets are formed only for the result.
+    of G; perm frozensets are formed only for the result.  Each conjugation
+    test reads generators only: ``cyc_of[x]`` is the position of <x> among
+    the cyclic subgroups, so g<x>g^-1 = <gxg^-1> is found from one index.
+    Past LATTICE_WORK_CAP (classes times cyclic subgroups) raises
+    CapExceeded as soon as the classes found pass it.
     """
     if G.order > SUBGROUP_CAP:
         raise CapExceeded(f"subgroup lattice needs |G| <= {SUBGROUP_CAP}")
     cay = _cayley(G)
-    mul, conj = cay.mul, cay.conj
-    gen_conj = [conj[s] for s in cay.gens]
+    mul = cay.mul
+    gen_conj = [cay.conj[s] for s in cay.gens]
 
     cyclic_gen: dict[frozenset, int] = {}
+    least = [0]  # least[x]: the least generator of <x>
     for x in range(1, G.order):
         row = mul[x]
         powers = [0, x]
@@ -646,19 +679,26 @@ def _subgroup_lattice(G: PermGroup) -> tuple[tuple[frozenset, tuple[Perm, ...], 
         while y:
             powers.append(y)
             y = row[y]
-        cyclic_gen.setdefault(frozenset(powers), x)
+        least.append(cyclic_gen.setdefault(frozenset(powers), x))
     cyclics = sorted(cyclic_gen.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    position = {gen: pos for pos, (_sub, gen) in enumerate(cyclics)}
+    cyc_of = [position.get(gen, -1) for gen in least]
 
     known: dict[frozenset, int] = {}
     classes: list[tuple[frozenset, tuple[int, ...], list[frozenset]]] = []
 
     def register(sub: frozenset, gens: tuple[int, ...]) -> None:
+        # each class found is taken up once and tries every cyclic subgroup
+        if (len(classes) + 1) * len(cyclics) > LATTICE_WORK_CAP:
+            raise CapExceeded(f"subgroup lattice work exceeds cap {LATTICE_WORK_CAP}: "
+                              f"{len(classes) + 1} classes of subgroups found, "
+                              f"{len(cyclics)} cyclic subgroups to try in each")
         orbit = walk(sub, gen_conj, lambda member, row: frozenset([row[x] for x in member]))
         orbit_sorted = sorted([y for y, _, _ in orbit], key=sorted)
         rep = orbit_sorted[0]
         rep_gens = gens
         if rep != sub:
-            row = next(row for row in conj if all(row[x] in rep for x in sub))
+            row = next(row for row in cay.inner if all(row[x] in rep for x in gens))
             rep_gens = tuple(row[x] for x in gens)
         cid = len(classes)
         classes.append((rep, rep_gens, orbit_sorted))
@@ -673,20 +713,20 @@ def _subgroup_lattice(G: PermGroup) -> tuple[tuple[frozenset, tuple[Perm, ...], 
     # Conjugating by n in N(rep) carries <rep, C> to <rep, nCn^-1>, so of each
     # N(rep)-orbit of cyclic subgroups only the first is joined: the others
     # give subgroups already known (the cyclic extension method, Neubueser 1960).
-    position = {sub: pos for pos, (sub, _gen) in enumerate(cyclics)}
+    # As n<x>n^-1 = <nxn^-1>, that orbit is marked through cyc_of.
     idx = 0
     while idx < len(classes):
         rep, rep_gens, _orbit = classes[idx]
         idx += 1
         if len(rep) == G.order:
             continue
-        normalizer = cay.normalizer(rep)
+        normalizer = cay.normalizer(rep, rep_gens)
         tried = bytearray(len(cyclics))
-        for pos, (sub, gen) in enumerate(cyclics):
-            if tried[pos] or sub <= rep:
+        for pos, (_sub, gen) in enumerate(cyclics):
+            if tried[pos] or gen in rep:
                 continue
             for row in normalizer:
-                tried[position[frozenset([row[x] for x in sub])]] = 1
+                tried[cyc_of[row[gen]]] = 1
             join = _join(mul, rep, rep_gens + (gen,))
             if join not in known:
                 register(join, rep_gens + (gen,))
@@ -754,7 +794,7 @@ def normal_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
 
 def is_normal(G: PermGroup, N: PermGroup) -> bool:
     nset = N.element_set()
-    return all(conjugate(g, x) in nset for g in G.generators for x in N.elements)
+    return all(conjugate(g, x) in nset for g in G.generators for x in N.generators)
 
 
 def quotient_group(G: PermGroup, N: PermGroup) -> tuple[PermGroup, dict[Perm, Perm]]:
@@ -848,7 +888,9 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
     """All exact factorizations up to conjugacy of the pair and swapping.
 
     Every returned pair is re-verified through the unique-factorization
-    bijection; the larger factor is reported on the left.
+    bijection; the larger factor is reported on the left.  Past
+    FACTORIZATION_CAP factorizations found, before the swap dedupe, raises
+    CapExceeded before any is built.
     """
     lattice = _subgroup_lattice(G)
     cay = _cayley(G)
@@ -856,7 +898,10 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
     for i, (rep, _gens, _orbit) in enumerate(lattice):
         by_order.setdefault(len(rep), []).append(i)
 
-    results: list[ExactFactorizationG] = []
+    # first the complements, one per N(A)-orbit, counted against the cap
+    # before any is built: the N(A)-orbits of those taken are index sets
+    index = cay.index
+    pairs: list[tuple[int, int, frozenset]] = []  # (class of A, class of B, B)
     for i, (repA, gensA, _orbitA) in enumerate(lattice):
         a = len(repA)
         if G.order % a:
@@ -866,41 +911,44 @@ def exact_factorizations(G: PermGroup, proper_only: bool = True) -> list[ExactFa
             continue  # larger factor goes on the left; swap handled below
         if proper_only and b == 1:
             continue
-        normA = cay.normalizer(cay.indices(repA))
+        normA = cay.normalizer(cay.indices(repA), [index[g] for g in gensA])
         for j in by_order.get(b, []):
-            _repB, _gensB, orbitB = lattice[j]
             found: set[frozenset] = set()
-            for candB in orbitB:
+            for candB in lattice[j][2]:
                 if len(repA & candB) != 1:
                     continue
                 idxB = cay.indices(candB)
-                if any(frozenset([row[x] for x in idxB]) in found for row in normA):
+                if idxB in found:
                     continue
-                found.add(idxB)
-                fact = ExactFactorizationG(
-                    ambient=G,
-                    left=PermGroup(G.degree, list(gensA), _elements=tuple(sorted(repA))),
-                    right=from_elements(G.degree, candB),
-                )
-                if not fact.verify():
-                    raise GroupError("internal: factorization candidate failed verification")
-                results.append(fact)
+                found.update([frozenset([row[x] for x in idxB]) for row in normA])
+                pairs.append((i, j, candB))
+                if len(pairs) > FACTORIZATION_CAP:
+                    raise CapExceeded(f"exact factorizations exceed cap {FACTORIZATION_CAP}")
 
-    # equal-order pairs may coincide after swapping plus conjugation
+    # then each is built and verified.  Equal-order pairs may coincide after
+    # swapping plus conjugation: a pair (A, B) of classes (i, j) can only be
+    # carried onto a kept pair (B', A') of classes (j, i), by a g that maps
+    # the generators of A into B' and those of B into A', as conjugation
+    # keeps orders.
     deduped: list[ExactFactorizationG] = []
-    for fact in results:
-        dup = False
-        for prev in deduped:
-            if (prev.left.order, prev.right.order) != (fact.right.order, fact.left.order):
-                continue
-            fa, fb = cay.indices(fact.left.elements), cay.indices(fact.right.elements)
-            pa, pb = cay.indices(prev.left.elements), cay.indices(prev.right.elements)
-            if any(all(row[x] in pb for x in fa) and all(row[x] in pa for x in fb)
-                   for row in cay.conj):
-                dup = True
-                break
-        if not dup:
-            deduped.append(fact)
+    kept: dict[tuple[int, int], list[tuple[frozenset, frozenset]]] = {}
+    lefts: dict[int, PermGroup] = {}
+    for i, j, candB in pairs:
+        if i not in lefts:
+            repA, gensA, _orbitA = lattice[i]
+            lefts[i] = PermGroup(G.degree, list(gensA), _elements=tuple(sorted(repA)))
+        fact = ExactFactorizationG(ambient=G, left=lefts[i],
+                                   right=from_elements(G.degree, candB))
+        if not fact.verify():
+            raise GroupError("internal: factorization candidate failed verification")
+        ga = [index[x] for x in fact.left.generators]
+        gb = [index[x] for x in fact.right.generators]
+        if any(all(row[x] in pb for x in ga) and all(row[x] in pa for x in gb)
+               for pa, pb in kept.get((j, i), ()) for row in cay.inner):
+            continue
+        deduped.append(fact)
+        kept.setdefault((i, j), []).append(
+            (cay.indices(fact.left.elements), cay.indices(fact.right.elements)))
     deduped.sort(key=lambda f: (-f.left.order, f.labels()))
     return deduped
 

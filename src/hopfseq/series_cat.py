@@ -18,7 +18,6 @@ and vect over A6 through the full elimination certificate.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .catexpr import CatExpr, fpdim, rep_g, vec_g
@@ -286,7 +285,7 @@ def comp_series_cat(expr: CatExpr, strategy: Strategy | str) -> CatCompSeries:
         walk(dec.right)
 
     walk(expr)
-    total = Fraction(1)
+    total = 1
     for f in factors:
         total *= fpdim(f)
     if total != fpdim(expr):

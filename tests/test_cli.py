@@ -222,6 +222,11 @@ BAD_INPUTS = [
     (("verify", "sequence", "quotient:s4:(1 9)"), {}, EXIT_PARSE),
     # kS6 -> kZ2: kS6 is above the verification work cap, as in build group s6
     (("verify", "sequence", "quotient:s6:(1 2 3);(2 3 4 5 6)"), {}, EXIT_CAP),
+    # a subgroup lattice above LATTICE_WORK_CAP: (Z2)^7 has 29,212 subgroups
+    # and 127 cyclic ones; and (Z2)^6, whose exact factorizations found
+    # number over 700,000, above FACTORIZATION_CAP
+    (("table", "z2xz2xz2xz2xz2xz2xz2"), {}, EXIT_CAP),
+    (("factorize", "z2xz2xz2xz2xz2xz2"), {}, EXIT_CAP),
 ]
 
 
