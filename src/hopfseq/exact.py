@@ -170,7 +170,9 @@ def coinvariants(pi: HopfMorphism, side: str = "left") -> list[Vec]:
 
 
 class HopfSubalgebra:
-    """A subspace of an ambient Hopf algebra, kept as an echelon basis."""
+    """A subspace of an ambient Hopf algebra, kept as its reduced echelon
+    basis in pivot order, as span_subalgebra gives it; _closure refuses
+    (ValueError) any other basis, as it reads coordinates at the pivots."""
 
     def __init__(self, ambient: HopfAlgebra, basis: list, note: str = ""):
         self.ambient = ambient
@@ -223,16 +225,21 @@ def _transported(H: HopfAlgebra, lift, coords, tensor_coords, labels):
 def _closure(K: HopfSubalgebra) -> tuple[HopfAlgebra, list[tuple]]:
     """The algebra K is in its own basis (complete only without violations)
     and K's closure violations, from one pass that reads H's structure on
-    K's basis b_a in coordinates over K, kept in one Echelon.
+    K's basis b_a in coordinates over K, read at the pivots of that basis.
 
     A tensor t of H (x) H is read over K (x) K one leg at a time: write
     t = sum_j u_j (x) e_j; each u_j must lie in K, as sum_a c_aj b_a; then
     t = sum_a b_a (x) w_a with w_a = sum_j c_aj e_j, and each w_a must lie
     in K too.  The coordinate of t at b_a (x) b_b is that of w_a at b_b."""
     H, basis = K.ambient, K.basis
-    span = Echelon(H.field)
-    for a, x in enumerate(basis):
-        span.add(x, tag=a)
+    span = echelon_span(basis, H.field)
+    if span.basis() != basis:
+        raise ValueError("subalgebra basis is not its own reduced echelon basis")
+    at = {p: a for a, p in enumerate(sorted(span.rows))}
+
+    def coords(v: Vec):
+        c = span.coords(v)
+        return None if c is None else {at[p]: x for p, x in c.items()}
 
     def tensor_coords(t: dict):
         legs: dict = {}                     # legs[j] = u_j
@@ -240,21 +247,21 @@ def _closure(K: HopfSubalgebra) -> tuple[HopfAlgebra, list[tuple]]:
             legs.setdefault(j, {})[i] = c
         ws: dict = {}                       # ws[a] = w_a
         for j, u in legs.items():
-            cu = span.coords(u)
+            cu = coords(u)
             if cu is None:
                 return None
             for a, c in cu.items():
                 ws.setdefault(a, {})[j] = c
         out: dict = {}
         for a, w in ws.items():
-            cw = span.coords(w)
+            cw = coords(w)
             if cw is None:
                 return None
             for b, c in cw.items():
                 out[a, b] = c
         return out
 
-    return _transported(H, basis, span.coords, tensor_coords,
+    return _transported(H, basis, coords, tensor_coords,
                         [f"b{a}" for a in range(len(basis))])
 
 

@@ -52,6 +52,15 @@ HOPF_WORK_CAP = 30_326_616
 # 0.07 s for N <= 1000 (N = 900), but 1.1 s for N = 5040 and 5.1 s for
 # N = 10080.  Measured on 2 CPUs, Python 3.11.7.
 CONDUCTOR_CAP = 1_000
+# group_algebra composes n**2 perm tuples of G.degree entries each, so the
+# cap bounds n**2 * degree.  A build took 44 ns an entry on kZ311 (degree
+# 311, 30.1 M entries, 1.3 s) and 370 ns an entry on S6 x Z2 acting on 8
+# points (order 1440, 16.6 M entries, 6.1 s and 1.2 GB), where each
+# product's own cost (2.7 us) dominates; that is the slowest accepted build
+# measured.  The cap keeps kZ311, the largest `quotient:` target, and
+# refuses kZ576 (191 M) and W(D5) on 10 points (order 1920, 36.9 M).
+# Measured on 2 CPUs, Python 3.11.7.
+GROUP_ALGEBRA_CAP = 31_000_000
 SOLVE_DIM_CAP = 12           # general antipode solve; closed forms above this
 MAX_REPORT = 1_000
 
@@ -637,15 +646,20 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
 def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
     """kG: basis the group elements, every basis vector group-like.
 
-    The conductor cap is checked before the field is built.  The work cap
-    is not: kG is built past what can be verified in full (the tests
-    sample kA6), so a caller that verifies it checks bicrossed_work(n, 1)."""
+    The conductor cap and GROUP_ALGEBRA_CAP, on the perm entries the
+    product table composes, are checked before the field is built.  The
+    work cap is not: kG is built past what can be verified in full (the
+    tests sample kA6), so a caller that verifies it checks
+    bicrossed_work(n, 1)."""
     check_conductor(conductor)
+    n = G.order
+    if n * n * G.degree > GROUP_ALGEBRA_CAP:
+        raise HopfCapExceeded(f"dimension {n}: {n * n * G.degree} perm entries composed on "
+                              f"{G.degree} points exceed cap {GROUP_ALGEBRA_CAP}")
     field = get_field(conductor)
     one = field.one
     elems = G.elements
     index = G.element_index()
-    n = len(elems)
     mult = [{j: {index[compose(elems[i], elems[j])]: one} for j in range(n)}
             for i in range(n)]
     unit = {index[G.identity()]: one}

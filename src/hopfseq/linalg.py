@@ -5,10 +5,10 @@ spaces) to nonzero scalars.  All elimination runs through one class,
 Echelon, which keeps its rows in reduced echelon form (pivot coefficient
 1, no pivot key in any other row); no tolerances anywhere.
 
-Tags: a vector added with a tag carries its combination over the tags
-along with it.  Echelon.coords then writes a member of the span over the
-tagged vectors, and a tagged vector that reduces to zero is a dependency
-among them, kept in ``dependent``; nullspace_of_map is those dependencies.
+Kernels come from the transposed system: nullspace_of_map eliminates one
+equation per output key over the unknowns and reads the kernel off the
+free columns.  Coordinates are read at the pivots: a member of the span is
+the sum of its entries at the pivot keys times their rows.
 
 The augmented column: solve_sparse_system eliminates each equation as one
 vector over the unknowns plus a right-hand-side key that sorts after every
@@ -43,10 +43,6 @@ def transpose(rows, n: int) -> list[Vec]:
     return out
 
 
-def vec_scale(v: Vec, c: CycScalar) -> Vec:
-    return {k: c * a for k, a in v.items()}
-
-
 def vec_sub_scaled(v: Vec, w: Vec, c: CycScalar) -> Vec:
     """v - c*w, dropping zeros."""
     out = dict(v)
@@ -64,22 +60,15 @@ def vec_sub_scaled(v: Vec, w: Vec, c: CycScalar) -> Vec:
 
 
 class Echelon:
-    """A subspace kept as a reduced echelon basis (pivot coefficient 1).
-
-    Each row also keeps the combination of tags that it is; an untagged
-    vector counts as no combination, so tagged and untagged vectors are
-    not mixed in a span whose coords are read.
-    """
+    """A subspace kept as a reduced echelon basis (pivot coefficient 1, no
+    pivot key in any other row)."""
 
     def __init__(self, field: CycField):
         self.field = field
         self.rows: dict = {}       # pivot key -> row Vec
-        self.combos: dict = {}     # pivot key -> combination over tags
-        self.dependent: list = []  # combinations of tagged vectors that are 0
 
-    def reduce(self, v: Vec, taken: Vec | None = None) -> Vec:
-        """v less its part in the span; the rows taken off, as a combination
-        over the tags, are added into ``taken`` when it is given."""
+    def reduce(self, v: Vec) -> Vec:
+        """v less its part in the span."""
         # the basis is fully reduced, so eliminating a pivot never introduces
         # another pivot key: one pass over the original support suffices
         v = dict(v)
@@ -87,41 +76,30 @@ class Echelon:
             if k in v:
                 row = self.rows.get(k)
                 if row is not None:
-                    c = v[k]
-                    v = vec_sub_scaled(v, row, c)
-                    if taken is not None:
-                        for t, a in self.combos[k].items():
-                            add_term(taken, t, c * a)
+                    v = vec_sub_scaled(v, row, v[k])
         return v
 
-    def add(self, v: Vec, tag=None) -> bool:
+    def add(self, v: Vec) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        taken: Vec = {}
-        v = self.reduce(v, taken)
-        one = self.field.one
-        combo = vec_sub_scaled({} if tag is None else {tag: one}, taken, one)
+        v = self.reduce(v)
         if not v:
-            if tag is not None:
-                self.dependent.append(combo)
             return False
         pivot = min(v)
         inv = v[pivot].inverse()
-        v = vec_scale(v, inv)
-        combo = vec_scale(combo, inv)
+        v = {k: inv * a for k, a in v.items()}
         # keep the basis fully reduced
         for p, row in list(self.rows.items()):
             if pivot in row:
-                c = row[pivot]
-                self.rows[p] = vec_sub_scaled(row, v, c)
-                self.combos[p] = vec_sub_scaled(self.combos[p], combo, c)
+                self.rows[p] = vec_sub_scaled(row, v, row[pivot])
         self.rows[pivot] = v
-        self.combos[pivot] = combo
         return True
 
     def coords(self, v: Vec):
-        """v as a combination over the tagged vectors, or None if outside."""
-        taken: Vec = {}
-        return None if self.reduce(v, taken) else taken
+        """v as {pivot key: coefficient of that row}, or None if outside.
+        The basis is reduced, so these are v's entries at the pivot keys."""
+        if self.reduce(v):
+            return None
+        return {k: c for k, c in v.items() if k in self.rows}
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
@@ -157,11 +135,25 @@ def subspace_equal(vs1, vs2, field: CycField) -> bool:
 
 
 def nullspace_of_map(images: list[Vec], field: CycField) -> list[Vec]:
-    """Kernel basis of the map e_j -> images[j]: the dependent tagged inserts."""
-    ech = Echelon(field)
+    """Kernel basis of the map e_j -> images[j], from the transposed system:
+    one equation {j: images[j][k]} per output key k, eliminated over the
+    unknowns j; each free column f gives e_f - sum_p row_p[f] e_p."""
+    equations: dict = {}
     for j, img in enumerate(images):
-        ech.add(img, tag=j)
-    return ech.dependent
+        for k, c in img.items():
+            if not c.is_zero():
+                equations.setdefault(k, {})[j] = c
+    ech = Echelon(field)
+    for eq in equations.values():
+        ech.add(eq)
+        if ech.rank == len(images):
+            return []
+    kernel = {f: {f: field.one} for f in range(len(images)) if f not in ech.rows}
+    for p, row in ech.rows.items():
+        for f, c in row.items():   # a reduced row's keys past its pivot are free
+            if f != p:
+                kernel[f][p] = -c
+    return list(kernel.values())
 
 
 class _Rhs:

@@ -35,6 +35,7 @@ from hopfseq import (
 from hopfseq.exact import (
     ExactnessError,
     ExactSequenceH,
+    HopfSubalgebra,
     _split_along,
     _transported,
     augmentation_basis,
@@ -48,6 +49,7 @@ from hopfseq.groups import alternating, from_elements, is_normal, iso_label, quo
 from hopfseq.hopf import HopfAlgebra, dual_product, verify_hopf_axioms
 from hopfseq.linalg import Echelon, add_term, subspace_equal
 from hopfseq.perm import compose, conjugate, inverse, parse_cycles
+from test_kernel_oracle import TaggedEchelon
 
 
 def _coordinate_subalgebra(H, G, sub):
@@ -453,11 +455,24 @@ def test_span_that_is_not_closed():
         standalone_subalgebra(K)
 
 
+def test_closure_refuses_a_basis_that_is_not_its_echelon_basis():
+    # coordinates are read at the pivots, so only the reduced echelon basis
+    # in pivot order is accepted: not its rows reordered, nor a row scaled
+    s3 = symmetric(3)
+    H, idx = group_algebra(s3), s3.element_index()
+    one = H.field.one
+    K = span_subalgebra(H, [{idx[g]: one} for g in (s3.identity(), parse_cycles("(1 2)", 3))])
+    assert K.verify() == []
+    for basis in (K.basis[::-1], [K.basis[0], {k: one + one for k in K.basis[1]}]):
+        with pytest.raises(ValueError, match="echelon"):
+            HopfSubalgebra(H, basis).verify()
+
+
 def _tagged_closure(K):
     """The closure pass with the K (x) K reader it had before: a tagged
     Echelon over every b_a (x) b_b."""
     H = K.ambient
-    span, tens = Echelon(H.field), Echelon(H.field)
+    span, tens = TaggedEchelon(H.field), TaggedEchelon(H.field)
     for a, x in enumerate(K.basis):
         span.add(x, tag=a)
         for b, y in enumerate(K.basis):

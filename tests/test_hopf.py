@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -293,6 +294,27 @@ def test_a_nonzero_cocycle_exponent_is_weighed_by_the_conductor():
         assert weighed_conductor(cocycles, 3) == weight
     with pytest.raises(HopfCapExceeded, match=r"work 17252352 x phi\(3\)\^2 = 69009408 "):
         bicrossed_product(from_factorization(E, G, Gamma), cocycles)
+
+
+class _Accepted(Exception):
+    pass
+
+
+def _accepted(conductor):
+    raise _Accepted
+
+
+def test_group_algebra_refuses_its_product_entries_at_once(monkeypatch):
+    # kZ1500 composes 1500**2 perm tuples of 1500 entries (not done in 120 s);
+    # kZ311, the largest quotient: target, passes the caps to its field
+    G = cyclic(1500)
+    start = time.perf_counter()
+    with pytest.raises(HopfCapExceeded, match=r"^dimension 1500: 3375000000 perm entries "):
+        group_algebra(G)
+    assert time.perf_counter() - start < 1
+    monkeypatch.setattr(hopf, "get_field", _accepted)
+    with pytest.raises(_Accepted):
+        group_algebra(cyclic(311))
 
 
 def test_drinfeld_double_dim_cap():

@@ -14,11 +14,11 @@ from hopfseq.cyclotomic import get_field
 from hopfseq.exact import FactorDesc, GroupAlgebraRef, composition_series_hopf
 from hopfseq.groups import PermGroup
 from hopfseq.linalg import (
-    Echelon,
     add_term,
     echelon_span,
     nullspace_of_map,
     solve_sparse_system,
+    subspace_equal,
 )
 from hopfseq.perm import parse_cycles
 
@@ -74,17 +74,41 @@ def dense_rank(vectors, keys, field):
     return rank
 
 
-@pytest.mark.parametrize("conductor, seed", CASES)
-def test_nullspace_maps_to_zero_and_has_full_size(conductor, seed):
+def nullspace_system(conductor, seed):
+    """(field, keys, images) of the seeded map whose kernel the tests take."""
     field = get_field(conductor)
     rng = random.Random(f"nullspace:{conductor}:{seed}")
     keys = list(range(rng.randint(3, 7)))
-    images = with_dependents(rng, field, keys, rng.randint(4, 9))
-    kernel = nullspace_of_map(images, field)
+    return field, keys, with_dependents(rng, field, keys, rng.randint(4, 9))
+
+
+def assert_is_kernel(kernel, images, keys, field):
     assert all(combination(images, [k.get(j, field.zero) for j in range(len(images))]) == {}
                for k in kernel)
     assert len(kernel) == len(images) - dense_rank(images, keys, field)
     assert dense_rank(kernel, range(len(images)), field) == len(kernel)
+
+
+@pytest.mark.parametrize("conductor, seed", CASES)
+def test_nullspace_maps_to_zero_and_has_full_size(conductor, seed):
+    field, keys, images = nullspace_system(conductor, seed)
+    assert_is_kernel(nullspace_of_map(images, field), images, keys, field)
+
+
+@pytest.mark.parametrize("conductor, seed", CASES)
+def test_nullspace_skips_explicit_zero_coefficients(conductor, seed):
+    # augmentation_basis passes {0: counit(e_i)}, zero for most e_i of k^G;
+    # here the least key of the first image holds an explicit zero
+    field = get_field(conductor)
+    rng = random.Random(f"zeros:{conductor}:{seed}")
+    keys = list(range(rng.randint(3, 7)))
+    images = with_dependents(rng, field, keys, rng.randint(4, 9))
+    padded = [{k: img.get(k, field.zero) for k in keys if k in img or rng.random() < 0.5}
+              for img in images]
+    padded[0] = {-1: field.zero, **padded[0]}
+    kernel = nullspace_of_map(padded, field)
+    assert_is_kernel(kernel, images, keys, field)
+    assert subspace_equal(kernel, nullspace_of_map(images, field), field)
 
 
 @pytest.mark.parametrize("conductor, seed", CASES)
@@ -120,14 +144,12 @@ def test_coords_rebuild_members_of_the_span(conductor, seed):
     rng = random.Random(f"coords:{conductor}:{seed}")
     keys = [(a, b) for a in range(3) for b in range(3)]
     vectors = with_dependents(rng, field, keys, rng.randint(3, 7))
-    ech = Echelon(field)
-    for t, v in enumerate(vectors):
-        ech.add(v, tag=t)
+    ech = echelon_span(vectors, field)
     for _ in range(5):
         w = combination(vectors, [scalar(rng, field) for _ in vectors])
         got = ech.coords(w)
         assert got is not None
-        assert combination(vectors, [got.get(t, field.zero) for t in range(len(vectors))]) == w
+        assert combination([ech.rows[p] for p in got], got.values()) == w
     rank = dense_rank(vectors, keys, field)
     for _ in range(5):
         w = sparse(rng, field, keys, density=0.5)
