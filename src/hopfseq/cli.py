@@ -5,9 +5,14 @@ One table, VERBS, lists each verb with its arguments, choices and defaults;
 ``parse_args`` reads the command line against it, and the help and usage
 text are generated from it.
 Exit codes: 0 all verifications passed, 1 a verification failed,
-2 parse/usage errors, 3 a size cap was exceeded, 141 (128 + SIGPIPE) the
-reader closed stdout.  All output is byte-deterministic for fixed inputs
-and flags.
+2 parse/usage errors or output that cannot be written, 3 a size cap was
+exceeded, 141 (128 + SIGPIPE) the reader closed stdout.  All output is
+byte-deterministic for fixed inputs and flags.
+
+``entry()`` is the process entry of both ``python -m hopfseq.cli`` and the
+installed ``hopfseq`` script: it runs ``main()``, flushes stdout and stderr
+and ends the process with ``os._exit``, skipping the interpreter's teardown.
+In-process callers call ``main()``, which returns the exit code.
 
 Each verb imports the modules it runs when it is called, so a process
 loads only what its verb needs: ``factorize`` never loads the Hopf stack,
@@ -16,6 +21,7 @@ and ``verify hopf`` never loads the categorical modules.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -586,6 +592,15 @@ def _run(args, out) -> int:
         return _exit_code(exc)
 
 
+def _stdout_to_devnull(out) -> None:
+    """Point the process's stdout at devnull when ``out`` is that stream, so
+    that no later flush of what it still buffers can raise again."""
+    if out is sys.stdout and out is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
@@ -595,19 +610,40 @@ def main(argv=None, out=None) -> int:
         print(f"{_usage(exc.verb)}\n{prog}: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
+        if out is None:  # the process started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if isinstance(args, str):  # the help or the version
             print(args, file=out)
             code = EXIT_OK
         else:
             code = _run(args, out)
-        out.flush()  # here, so that a closed pipe raises inside the try
+        out.flush()  # here, so that a failed write raises inside the try
     except BrokenPipeError:
-        # the reader has gone; stdout goes to devnull so that the flush at
-        # exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader has gone: exit as SIGPIPE would, silently
+        _stdout_to_devnull(out)
         return EXIT_PIPE
+    except OSError as exc:  # a full device, or no stdout at all
+        _stdout_to_devnull(out)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     return code
 
 
+def entry() -> None:
+    """The process entry: run main on the command line, flush both streams
+    and end the process with main's code through os._exit.
+
+    No atexit hook, thread or open file outlives main, so the interpreter's
+    teardown (a last garbage collection and the unloading of every module)
+    would only add time to each verb.  An exception that escapes main ends
+    the process the usual way, with a traceback and exit 1.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

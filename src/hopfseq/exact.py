@@ -89,7 +89,7 @@ class HopfMorphism:
         return out
 
     def rank(self) -> int:
-        return rank_of_columns(list(self.cols), self.source.field)
+        return rank_of_columns(list(self.cols))
 
     def is_surjective(self) -> bool:
         return self.rank() == self.target.dim
@@ -166,7 +166,7 @@ def coinvariants(pi: HopfMorphism, side: str = "left") -> list[Vec]:
             add_term(t, (a, i) if left else (i, a), -ca)
         images.append(t)
     kernel = nullspace_of_map(images, H.field)
-    return echelon_span(kernel, H.field).basis()
+    return echelon_span(kernel).basis()
 
 
 class HopfSubalgebra:
@@ -190,7 +190,7 @@ class HopfSubalgebra:
 
 
 def span_subalgebra(H: HopfAlgebra, vectors, note: str = "") -> HopfSubalgebra:
-    ech = echelon_span(vectors, H.field)
+    ech = echelon_span(vectors)
     return HopfSubalgebra(ambient=H, basis=ech.basis(), note=note)
 
 
@@ -232,7 +232,7 @@ def _closure(K: HopfSubalgebra) -> tuple[HopfAlgebra, list[tuple]]:
     t = sum_a b_a (x) w_a with w_a = sum_j c_aj e_j, and each w_a must lie
     in K too.  The coordinate of t at b_a (x) b_b is that of w_a at b_b."""
     H, basis = K.ambient, K.basis
-    span = echelon_span(basis, H.field)
+    span = echelon_span(basis)
     if span.basis() != basis:
         raise ValueError("subalgebra basis is not its own reduced echelon basis")
     at = {p: a for a, p in enumerate(sorted(span.rows))}
@@ -299,7 +299,7 @@ def is_normal_subalgebra(K: HopfSubalgebra) -> tuple[bool, tuple | None]:
     the first failure over i, then a, the left side before the right.
     """
     H = K.ambient
-    ech = echelon_span(K.basis, H.field)
+    ech = echelon_span(K.basis)
     cols = transpose(H.mult, H.dim)
     lefts = [_basis_products(cols, a) for a in K.basis]   # lefts[a_i][j] = e_j a
     rights: list[dict] = [{} for _ in K.basis]            # rights[a_i][j] = S(e_j) a
@@ -365,7 +365,7 @@ def two_sided_ideal(H: HopfAlgebra, gens) -> Echelon:
     span stays a left ideal, so a w inside it has H w inside it too; and
     H g H = H (g H), so the span ends as H . gens . H.  Only the nonzero
     products are formed: from the rows and columns of a vector's support."""
-    ech = Echelon(H.field)
+    ech = Echelon()
     cols = transpose(H.mult, H.dim)
 
     def add_left_ideal(v: Vec) -> None:
@@ -463,10 +463,10 @@ def verify_exact_sequence(seq: ExactSequenceH) -> dict:
 
     ker_pi = nullspace_of_map(list(seq.pi.cols), H.field)
     ideal = _generated_ideal(seq.i)
-    status["kernel_is_ideal"] = subspace_equal(ker_pi, ideal.basis(), H.field)
+    status["kernel_is_ideal"] = subspace_equal(ker_pi, ideal.basis())
 
     coin = coinvariants(seq.pi, side="left")
-    status["coinvariants_match"] = subspace_equal(list(seq.i.cols), coin, H.field)
+    status["coinvariants_match"] = subspace_equal(list(seq.i.cols), coin)
 
     status["dim_multiplicative"] = (H.dim == Hp.dim * Hpp.dim)
     status["exact"] = all(status.values())
@@ -823,7 +823,7 @@ def _split_along(H: HopfAlgebra, cand: NormalCandidate):
             proj = HopfMorphism(H, template, cols)
             if not proj.verify() and proj.is_surjective():
                 ker = nullspace_of_map(list(proj.cols), H.field)
-                if subspace_equal(ker, _generated_ideal(inclusion).basis(), H.field):
+                if subspace_equal(ker, _generated_ideal(inclusion).basis()):
                     return sub_alg, template, proj
     Q, proj = hopf_cokernel(inclusion)
     return sub_alg, Q, proj

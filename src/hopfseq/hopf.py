@@ -579,7 +579,7 @@ def antipode_is_antihomomorphism(H: HopfAlgebra) -> bool:
 
 
 def antipode_invertible(H: HopfAlgebra) -> bool:
-    return rank_of_columns(list(H.antipode), H.field) == H.dim
+    return rank_of_columns(list(H.antipode)) == H.dim
 
 
 # ---------------------------------------------------------------------------

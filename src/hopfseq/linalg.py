@@ -63,8 +63,7 @@ class Echelon:
     """A subspace kept as a reduced echelon basis (pivot coefficient 1, no
     pivot key in any other row)."""
 
-    def __init__(self, field: CycField):
-        self.field = field
+    def __init__(self):
         self.rows: dict = {}       # pivot key -> row Vec
 
     def reduce(self, v: Vec) -> Vec:
@@ -119,19 +118,19 @@ class Echelon:
         return tuple(out)
 
 
-def echelon_span(vectors, field: CycField) -> Echelon:
-    ech = Echelon(field)
+def echelon_span(vectors) -> Echelon:
+    ech = Echelon()
     for v in vectors:
         ech.add(v)
     return ech
 
 
-def rank_of_columns(cols, field: CycField) -> int:
-    return echelon_span(cols, field).rank
+def rank_of_columns(cols) -> int:
+    return echelon_span(cols).rank
 
 
-def subspace_equal(vs1, vs2, field: CycField) -> bool:
-    return echelon_span(vs1, field).canonical() == echelon_span(vs2, field).canonical()
+def subspace_equal(vs1, vs2) -> bool:
+    return echelon_span(vs1).canonical() == echelon_span(vs2).canonical()
 
 
 def nullspace_of_map(images: list[Vec], field: CycField) -> list[Vec]:
@@ -143,7 +142,7 @@ def nullspace_of_map(images: list[Vec], field: CycField) -> list[Vec]:
         for k, c in img.items():
             if not c.is_zero():
                 equations.setdefault(k, {})[j] = c
-    ech = Echelon(field)
+    ech = Echelon()
     for eq in equations.values():
         ech.add(eq)
         if ech.rank == len(images):
@@ -173,7 +172,7 @@ def solve_sparse_system(rows, field: CycField):
     the system is inconsistent.
     """
     rhs_key = _Rhs()
-    ech = Echelon(field)
+    ech = Echelon()
     for row, rhs in rows:
         eq = {k: v for k, v in row.items() if not v.is_zero()}
         if not rhs.is_zero():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import random
@@ -401,6 +402,63 @@ def test_closed_stdout_exits_141_without_a_traceback():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (141, b"")  # 128 + SIGPIPE
+
+
+# (argv, exit code, stdout): one case for each exit code of the process
+# entry, stdout a pipe, /dev/full or closed at start; "bad.hopf" is a D(S3)
+# dump with one retargeted MULT entry
+ENTRY_CASES = [
+    (("factorize", "s4"), EXIT_OK, "pipe"),
+    (("verify", "hopf", "bad.hopf"), EXIT_VERIFY, "pipe"),
+    (("build",), EXIT_PARSE, "pipe"),
+    (("build", "group", "z576"), EXIT_CAP, "pipe"),
+    (("factorize", "s4"), EXIT_PARSE, "full"),
+    (("--version",), EXIT_PARSE, "closed"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", ENTRY_CASES)
+def test_the_process_ends_as_main_returns(capsys, monkeypatch, tmp_path, argv, code, stdout):
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if "bad.hopf" in argv:
+        bad = tmp_path / "bad.hopf"
+        bad.write_text(_retargeted_mult(dump_hopf(drinfeld_double(symmetric(3))), random.Random(1)))
+        argv = [str(bad) if arg == "bad.hopf" else arg for arg in argv]
+    if stdout == "full":
+        sink = open("/dev/full", "w")
+        assert main(argv, out=sink) == code
+        with contextlib.suppress(OSError):  # the text main could not write
+            sink.close()
+    else:
+        with monkeypatch.context() as patch:
+            if stdout == "closed":
+                patch.setattr(sys, "stdout", None)
+            assert main(argv) == code
+    want = capsys.readouterr()
+    if stdout != "pipe":
+        assert want.err.startswith("error: cannot write stdout: ")
+    fd = os.open("/dev/full", os.O_WRONLY) if stdout == "full" else subprocess.PIPE
+    try:
+        done = subprocess.run([sys.executable, "-m", "hopfseq.cli", *argv], stdout=fd,
+                              stderr=subprocess.PIPE, env=source_env(), timeout=60,
+                              preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None)
+    finally:
+        if stdout == "full":
+            os.close(fd)
+    assert (done.returncode, done.stdout or b"", done.stderr) == (
+        code, want.out.encode(), want.err.encode())
+
+
+def test_a_dump_written_by_the_process_verifies(tmp_path):
+    target = tmp_path / "ds3.hopf"
+    done = subprocess.run([sys.executable, "-m", "hopfseq.cli", "build", "double", "s3",
+                           "-o", str(target)],
+                          capture_output=True, text=True, env=source_env(), timeout=60)
+    assert (done.returncode, done.stdout) == (
+        EXIT_OK, f"dim 36, conductor 1, axioms PASS\nwrote {target}\n")
+    assert hopf.verify_hopf_axioms(load_hopf(target.read_text())).ok
+    assert run_cli("verify", "hopf", str(target)) == (EXIT_OK, "dim 36: all Hopf axioms PASS\n")
 
 
 def test_build_double_verifies_once(monkeypatch):
