@@ -13,13 +13,8 @@ from __future__ import annotations
 from math import isqrt
 
 from .cocycles import TwoCocycle
-from .groups import CapExceeded, PermGroup, is_prime, iso_label
+from .groups import MR_BOUND, CapExceeded, PermGroup, is_prime, iso_label
 from .record import Frozen
-
-# the largest p (and q) accepted; is_prime, a deterministic Miller-Rabin,
-# decides far larger n (below groups.MR_BOUND) at once, and the cap is kept
-# so that the same inputs are refused
-PRIME_CAP = 10 ** 12
 
 
 class LedgerError(ValueError):
@@ -27,11 +22,11 @@ class LedgerError(ValueError):
 
 
 def _check_primes(*ns: int) -> bool:
-    """True when every n is prime; a number above PRIME_CAP is refused
-    (CapExceeded) before any is tested."""
+    """True when every n is prime; a number from MR_BOUND on, where is_prime
+    decides nothing, is refused (CapExceeded) before any is tested."""
     for n in ns:
-        if n > PRIME_CAP:
-            raise CapExceeded(f"{n} exceeds the prime cap {PRIME_CAP}")
+        if n >= MR_BOUND:
+            raise CapExceeded(f"{n} is not below {MR_BOUND}, where primality is decided")
     return all(is_prime(n) for n in ns)
 
 

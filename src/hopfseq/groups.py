@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache, partial
+from math import factorial
 from operator import itemgetter
 
 from .perm import (
@@ -517,6 +518,31 @@ def _reference_fingerprints(order: int) -> dict[tuple, str]:
     return table
 
 
+def moved_points(G: PermGroup) -> list[int]:
+    """The points that some generator of G moves, in increasing order."""
+    return [i for i in range(G.degree) if any(g[i] != i for g in G.generators)]
+
+
+def _symmetric_or_alternating(G: PermGroup) -> str | None:
+    """S_d or A_d when G moves d points, 3 <= d <= 6, and has order d! or
+    d!/2; None otherwise."""
+    d = len(moved_points(G))
+    if 3 <= d <= 6:
+        if G.order == factorial(d):
+            return f"S{d}"
+        if 2 * G.order == factorial(d):
+            return f"A{d}"
+    return None
+
+
+# iso_label tries, in order: the trivial group; an abelian group, named by
+# its invariant factors; the moved-points rule; the fingerprints of the
+# reference groups of G's order.  The rule is sound without search: G lies
+# in Sym(M) for the d points M it moves, so order d! makes G = Sym(M) ~ S_d,
+# and index 2 makes G the unique index-2 subgroup Alt(M) ~ A_d.  Abelian
+# groups are named first, so A3 stays Z3.  It stops at d = 6, the symmetric
+# and alternating names the references hold; every other group, such as
+# PGL(2,5) (S5 on 6 points) or a regular representation, is fingerprinted.
 def iso_label(G: PermGroup) -> str:
     if G._label is None:
         if G.order == 1:
@@ -524,7 +550,8 @@ def iso_label(G: PermGroup) -> str:
         elif G.is_abelian():
             G._label = "x".join(f"Z{d}" for d in abelian_invariants(G))
         else:
-            G._label = (_reference_fingerprints(G.order).get(_fingerprint(G))
+            G._label = (_symmetric_or_alternating(G)
+                        or _reference_fingerprints(G.order).get(_fingerprint(G))
                         or f"order-{G.order} unidentified")
     return G._label
 

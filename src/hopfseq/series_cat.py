@@ -28,6 +28,7 @@ from .groups import (
     is_prime,
     is_simple,
     iso_label,
+    moved_points,
     normal_subgroups,
     pow_perm,
     prime_factors,
@@ -188,7 +189,7 @@ def _moved_points(G: PermGroup, n: int) -> list[int] | None:
     For G labelled S_n that makes G the whole symmetric group on them: it
     has order n! and acts faithfully on those n points.
     """
-    points = [i for i in range(G.degree) if any(g[i] != i for g in G.generators)]
+    points = moved_points(G)
     return points if len(points) == n else None
 
 

@@ -13,7 +13,7 @@ from hopfseq.cli import EXIT_CAP, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from hopfseq.cyclotomic import get_field
 from hopfseq.io_formats import FormatError, dump_group, dump_hopf, load_group, load_hopf
 from hopfseq import drinfeld_double, exact, group_algebra, hopf, symmetric
-from hopfseq.groups import CapExceeded, alternating, cyclic
+from hopfseq.groups import MR_BOUND, CapExceeded, alternating, cyclic
 from hopfseq.hopf import (
     HOPF_WORK_CAP,
     HopfCapExceeded,
@@ -137,6 +137,22 @@ def test_ledger():
     assert code == EXIT_OK and "fpdim: 36" in text
 
 
+def test_primes_are_accepted_up_to_mr_bound():
+    code, text = run_cli("ledger", "ty:1000000000000000003")
+    assert code == EXIT_OK and "fpdim: 2000000000000000006" in text
+    # the largest prime below MR_BOUND, and a q there with 3 dividing q + 1
+    p, q = 3317044064679887385961813, 3317044064679887385961763
+    assert p < MR_BOUND and (q + 1) % 3 == 0
+    for verb in ("ledger", "certify", "compseries"):
+        assert run_cli(verb, f"ty:{p}")[0] == EXIT_OK
+        assert run_cli(verb, f"cpq:3,{q}")[0] == EXIT_OK
+    # from MR_BOUND on a number is refused before it is tested, so an even
+    # one is a cap, not a composite p
+    for n in (MR_BOUND, 2 * MR_BOUND):
+        code, text = run_cli("ledger", f"ty:{n}")
+        assert code == EXIT_CAP and text.startswith("error: ")
+
+
 def test_exit_codes():
     code, _ = run_cli("table", "nosuchgroup")
     assert code == EXIT_PARSE
@@ -167,8 +183,9 @@ BAD_INPUTS = [
     (("verify", "hopf", "{COMULT:0 : 50 0 : 1}"), {}, EXIT_PARSE),
     (("verify", "hopf", "{ANTIPODE:0 : x : 1}"), {}, EXIT_PARSE),
     (("verify", "hopf", "{BASIS:zz label}"), {}, EXIT_PARSE),
-    # a prime above the cap is refused before it is tested
-    (("ledger", "ty:1000000000000000003"), {}, EXIT_CAP),
+    # MR_BOUND, from which on primality is not decided, is refused before it
+    # is tested
+    (("ledger", "ty:3317044064679887385961981"), {}, EXIT_CAP),
     # a conductor below 1, or above CONDUCTOR_CAP before its field is built
     (("verify", "hopf", "{DIM 36:CONDUCTOR 0}"), {}, EXIT_PARSE),
     (("build", "bicrossed", "s4", "--g-gens", "(1 2 3);(1 2)", "--gamma-gens", "(1 2 3 4)",

@@ -433,10 +433,16 @@ def test_reference_list_declares_each_order():
     assert sum(len(groups._reference_fingerprints(n)) for n in orders) == 19
 
 
+def _pgl25():
+    """PGL(2,5): S5 acting on the 6 points of the projective line over F5."""
+    return elements([parse_cycles(s, 6) for s in ("(1 2 3 4 5)", "(2 3 5 4)", "(1 6)(2 5)")], 6)
+
+
 def test_label_builds_own_order_once_per_group(monkeypatch):
     seen = _record_fingerprints(monkeypatch)
     groups._reference_fingerprints.cache_clear()
-    G = symmetric(5)
+    # S5 on 6 points, so the moved-points rule does not name it
+    G = _pgl25()
     assert iso_label(G) == "S5"
     assert seen and {R.order for R in seen} == {120}
     seen.clear()
@@ -444,6 +450,51 @@ def test_label_builds_own_order_once_per_group(monkeypatch):
     G.name = "renamed"
     assert iso_label(G) == "S5"
     assert seen == []
+    # S5 on its own 5 points is named by the rule: nothing is fingerprinted
+    assert iso_label(symmetric(5)) == "S5"
+    assert seen == []
+
+
+def _moved_off(points: list[int], degree: int) -> PermGroup:
+    """The symmetric group on these points, by a full cycle and a transposition."""
+    cycle = " ".join(str(p) for p in points)
+    return elements([parse_cycles(f"({cycle})", degree),
+                     parse_cycles(f"({points[0]} {points[1]})", degree)], degree)
+
+
+def _regular(G: PermGroup) -> PermGroup:
+    """G acting on its own elements by multiplication."""
+    index = G.element_index()
+    gens = [tuple(index[compose(g, x)] for x in G.elements) for g in G.generators]
+    return elements(gens, G.order)
+
+
+def test_moved_points_rule_agrees_with_the_table_of_all_references(s6, a6):
+    table = _all_references_table()
+    rule = groups._symmetric_or_alternating
+    cases = [row.representative
+             for G in (symmetric(3), symmetric(4), symmetric(5), s6,
+                       alternating(4), alternating(5), a6)
+             for row in subgroup_classes(G)]
+    cases += [_moved_off(list(range(2, n + 2)), n + 1) for n in (4, 5, 6)]
+    cases.append(_moved_off([1, 3, 4, 6, 8], 9))
+    named = set()
+    for G in cases:
+        assert iso_label(G) == _old_label(G, table)
+        if not G.is_abelian() and rule(G) is not None:
+            assert rule(G) == _old_label(G, table)
+            named.add(rule(G))
+    assert named == {"S3", "S4", "S5", "S6", "A4", "A5", "A6"}
+    assert groups.moved_points(cases[-1]) == [0, 2, 3, 5, 7]
+
+    # S4 as the rotations of a cube on its 6 faces, S3 on itself and F20
+    cube = elements([parse_cycles(s, 6) for s in ("(1 2 3 4)", "(1 5 3 6)")], 6)
+    f20 = elements([parse_cycles(s, 5) for s in ("(1 2 3 4 5)", "(2 3 5 4)")], 5)
+    for G, order, label in ((_pgl25(), 120, "S5"), (cube, 24, "S4"),
+                            (_regular(symmetric(3)), 6, "S3"),
+                            (f20, 20, "order-20 unidentified")):
+        assert G.order == order and rule(G) is None
+        assert iso_label(G) == _old_label(G, table) == label
 
 
 def test_miller_rabin_agrees_with_trial_division():
