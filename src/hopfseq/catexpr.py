@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .cocycles import TwoCocycle
 from .groups import MR_BOUND, CapExceeded, PermGroup, is_prime, iso_label
 from .record import Frozen
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import product
 from math import lcm
 
-from .groups import PermGroup, small_generating_set, walk
+from .groups import CapExceeded, PermGroup, small_generating_set, walk
 from .perm import Perm, compose, inverse, perm_order
 from .record import Frozen
 
@@ -21,6 +21,10 @@ SEARCH_CAP = 16
 
 class CocycleError(ValueError):
     pass
+
+
+class CocycleCapExceeded(CocycleError, CapExceeded):
+    """A cocycle computation refused by a size cap."""
 
 
 class TwoCocycle(Frozen):
@@ -64,17 +68,6 @@ def trivial_cocycle(T: PermGroup, conductor: int = 1) -> TwoCocycle:
     return TwoCocycle(carrier=T, conductor=conductor, table=table)
 
 
-def bilinear_cocycle(T: PermGroup, pairing, conductor: int) -> TwoCocycle:
-    """Cocycle from a bilinear exponent pairing (a, b) -> int on an abelian T."""
-    table = {(a, b): pairing(a, b) % conductor
-             for a in T.elements for b in T.elements}
-    psi = TwoCocycle(carrier=T, conductor=conductor, table=table)
-    bad = psi.validate()
-    if bad:
-        raise CocycleError(f"pairing is not a cocycle: {bad[:3]}")
-    return psi
-
-
 def exponent_of(T: PermGroup) -> int:
     exp = 1
     for x in T.elements:
@@ -99,7 +92,7 @@ def coboundary_search(psi: TwoCocycle) -> bool:
     """
     T = psi.carrier
     if T.order > SEARCH_CAP:
-        raise CocycleError(f"coboundary search capped at carrier order {SEARCH_CAP}")
+        raise CocycleCapExceeded(f"coboundary search capped at carrier order {SEARCH_CAP}")
     M = psi.conductor * exponent_of(T)
     lift = M // psi.conductor
     e = T.identity()
@@ -169,43 +162,31 @@ class PairedCocycles(Frozen):
     """sigma: G x G -> (k^*)^Gamma and tau: Gamma x Gamma -> (k^*)^G.
 
     Stored as exponent tables sigma[(g, x, y)] for sigma_g(x, y) and
-    tau[(x, s, t)] for tau_x(s, t), all mod the conductor.
+    tau[(x, s, t)] for tau_x(s, t), mod the conductor.  Only the nonzero
+    exponents are kept: a missing entry is 0.
     """
 
     __slots__ = ("conductor", "sigma", "tau")
 
     def __init__(self, conductor: int, sigma: dict[tuple[Perm, Perm, Perm], int],
                  tau: dict[tuple[Perm, Perm, Perm], int]):
-        self._set(conductor, sigma, tau)
+        self._set(conductor, {k: v % conductor for k, v in sigma.items() if v % conductor},
+                  {k: v % conductor for k, v in tau.items() if v % conductor})
 
     def sigma_at(self, g: Perm, x: Perm, y: Perm) -> int:
-        return self.sigma[(g, x, y)] % self.conductor
+        return self.sigma.get((g, x, y), 0)
 
     def tau_at(self, x: Perm, s: Perm, t: Perm) -> int:
-        return self.tau[(x, s, t)] % self.conductor
+        return self.tau.get((x, s, t), 0)
 
     def normalized(self, G: PermGroup, Gamma: PermGroup) -> bool:
+        """No stored (nonzero) exponent has an identity argument: sigma_e,
+        sigma_g(e, x), sigma_g(x, e), tau_e, tau_x(e, s) and tau_x(s, e)
+        vanish."""
         eG, eGamma = G.identity(), Gamma.identity()
-        N = self.conductor
-        for x in G.elements:
-            for g in Gamma.elements:
-                if self.sigma_at(g, x, eG) % N or self.sigma_at(g, eG, x) % N:
-                    return False
-        for x in G.elements:
-            for y in G.elements:
-                if self.sigma_at(eGamma, x, y) % N:
-                    return False
-        for s in Gamma.elements:
-            for t in Gamma.elements:
-                if self.tau_at(eG, s, t) % N:
-                    return False
-            for x in G.elements:
-                if self.tau_at(x, s, eGamma) % N or self.tau_at(x, eGamma, s) % N:
-                    return False
-        return True
+        return not (any(g == eGamma or eG in (x, y) for g, x, y in self.sigma)
+                    or any(x == eG or eGamma in (s, t) for x, s, t in self.tau))
 
 
 def trivial_paired_cocycles(G: PermGroup, Gamma: PermGroup, conductor: int = 1) -> PairedCocycles:
-    sigma = {(g, x, y): 0 for g in Gamma.elements for x in G.elements for y in G.elements}
-    tau = {(x, s, t): 0 for x in G.elements for s in Gamma.elements for t in Gamma.elements}
-    return PairedCocycles(conductor=conductor, sigma=sigma, tau=tau)
+    return PairedCocycles(conductor=conductor, sigma={}, tau={})

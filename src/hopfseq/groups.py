@@ -854,23 +854,6 @@ def composition_series_group(G: PermGroup) -> list[str]:
     return [label for label, _ in composition_factors(G)]
 
 
-def all_composition_factor_multisets(G: PermGroup) -> set[tuple[str, ...]]:
-    """Factor multisets over every maximal normal chain (classical JH check)."""
-    if G.order == 1:
-        return {()}
-    normals = [N for N in normal_subgroups(G) if N.order < G.order]
-    maximal = [N for N in normals
-               if not any(N.order < M.order < G.order and
-                          N.element_set() < M.element_set() for M in normals)]
-    out: set[tuple[str, ...]] = set()
-    for N in maximal:
-        Q, _ = quotient_group(G, N)
-        top = iso_label(Q)
-        for rest in all_composition_factor_multisets(N):
-            out.add(tuple(sorted(rest + (top,))))
-    return out
-
-
 def is_simple(G: PermGroup) -> bool:
     """G is not 1 and each class's least member has normal closure G."""
     e = G.identity()

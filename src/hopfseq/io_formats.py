@@ -274,12 +274,15 @@ def load_hopf(text: str) -> HopfAlgebra:
     for lno, (i, j, k), coords in comults:
         comult_terms.setdefault(i, []).append((j, k, scalar(coords, lno)))
     comult = tuple(tuple(comult_terms.get(i, ())) for i in range(dim))
-    unit = {i: scalar(coords, lno) for lno, (i,), coords in chunks["UNIT"]}
-    counit = [field.zero] * dim
+    # repeated UNIT, COUNIT and ANTIPODE lines are summed too
+    unit: dict = {}
+    for lno, (i,), coords in chunks["UNIT"]:
+        add_term(unit, i, scalar(coords, lno))
+    counit: dict = {}
     for lno, (i,), coords in chunks["COUNIT"]:
-        counit[i] = scalar(coords, lno)
+        add_term(counit, i, scalar(coords, lno))
     antipode: list[dict] = [{} for _ in range(dim)]
     for lno, (j, i), coords in chunks["ANTIPODE"]:
-        antipode[j][i] = scalar(coords, lno)
-    return HopfAlgebra(field, labels, mult, unit, comult, tuple(counit),
-                       tuple(antipode))
+        add_term(antipode[j], i, scalar(coords, lno))
+    return HopfAlgebra(field, labels, mult, unit, comult,
+                       tuple(counit.get(i, field.zero) for i in range(dim)), tuple(antipode))

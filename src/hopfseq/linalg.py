@@ -8,11 +8,8 @@ Echelon, which keeps its rows in reduced echelon form (pivot coefficient
 Kernels come from the transposed system: nullspace_of_map eliminates one
 equation per output key over the unknowns and reads the kernel off the
 free columns.  Coordinates are read at the pivots: a member of the span is
-the sum of its entries at the pivot keys times their rows.
-
-The augmented column: solve_sparse_system eliminates each equation as one
-vector over the unknowns plus a right-hand-side key that sorts after every
-unknown, so a row whose pivot is that key is the contradiction 0 = rhs.
+the sum of its entries at the pivot keys times their rows.  A linear system
+is solved by reading the kernel routine (solve_sparse_system).
 """
 
 from __future__ import annotations
@@ -155,30 +152,26 @@ def nullspace_of_map(images: list[Vec], field: CycField) -> list[Vec]:
     return list(kernel.values())
 
 
-class _Rhs:
-    """The key of the augmented column; it sorts after every unknown."""
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __gt__(self, other) -> bool:
-        return self is not other
-
-
 def solve_sparse_system(rows, field: CycField):
     """Solve a sparse linear system given as (coeff row, rhs scalar) pairs.
 
-    Returns an assignment dict (free variables set to zero) or None when
-    the system is inconsistent.
+    The right-hand side is one more unknown t, ordered after the others:
+    A x = b exactly when x, t = 1 is in the kernel of A x - b t.  So the
+    system is solvable exactly when t is a free column, and t's kernel
+    vector is the solution with every other free unknown 0.  Returns its
+    nonzero assignments as a dict, or None when the system is inconsistent.
     """
-    rhs_key = _Rhs()
-    ech = Echelon()
-    for row, rhs in rows:
-        eq = {k: v for k, v in row.items() if not v.is_zero()}
-        if not rhs.is_zero():
-            eq[rhs_key] = rhs
-        ech.add(eq)
-        if rhs_key in ech.rows:
-            return None
-    # rows are fully reduced; remaining off-pivot unknowns are free (= 0)
-    return {var: row.get(rhs_key, field.zero) for var, row in ech.rows.items()}
+    rows = list(rows)
+    unknowns = sorted({var for row, _ in rows for var in row})
+    column = {var: j for j, var in enumerate(unknowns)}
+    t = len(unknowns)
+    images: list[Vec] = [{} for _ in range(t + 1)]
+    for eq, (row, rhs) in enumerate(rows):
+        for var, c in row.items():
+            images[column[var]][eq] = c
+        images[t][eq] = -rhs
+    kernel = nullspace_of_map(images, field)
+    # t is the last column, so a free t's vector is the last one
+    if not kernel or t not in kernel[-1]:
+        return None
+    return {unknowns[j]: c for j, c in kernel[-1].items() if j != t}

@@ -21,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .catexpr import CatExpr, fpdim, rep_g, vec_g
-from .certificates import a6_simplicity_check
 from .groups import (
     ExactFactorizationG,
     PermGroup,
@@ -229,6 +228,8 @@ def get_strategy(name: str) -> Strategy:
 
 @lru_cache(maxsize=1)
 def _a6_verdict() -> str:
+    from .certificates import a6_simplicity_check
+
     return a6_simplicity_check().verdict
 
 

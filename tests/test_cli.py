@@ -525,6 +525,20 @@ def test_verify_hopf_prints_the_first_20_violations(tmp_path, corrupt, many):
         EXIT_VERIFY, "".join(f"FAIL {v}\n" for v in violations[:20]))
 
 
+@pytest.mark.parametrize("section", ("MULT", "UNIT", "COUNIT", "ANTIPODE"))
+def test_a_repeated_dump_line_is_summed_in_every_section(tmp_path, section):
+    # the first line of the section doubled: its coefficient sums to 2,
+    # which breaks the axioms of kZ2
+    lines = dump_hopf(group_algebra(cyclic(2))).splitlines()
+    at = lines.index(section) + 1
+    lines.insert(at, lines[at])
+    path = tmp_path / "twice.hopf"
+    path.write_text("\n".join(lines) + "\n")
+    code, text = run_cli("verify", "hopf", str(path))
+    assert code == EXIT_VERIFY
+    assert text and all(ln.startswith("FAIL ") for ln in text.splitlines())
+
+
 S4_TIMES_S4 = "degree 8\n(1 2 3 4)\n(1 2)\n(5 6 7 8)\n(5 6)\n"
 
 

@@ -13,15 +13,16 @@ from hopfseq import (
     trivial_paired_cocycles,
 )
 from hopfseq.cocycles import (
+    CocycleCapExceeded,
     CocycleError,
+    PairedCocycles,
     TwoCocycle,
-    bilinear_cocycle,
     is_symmetric_cocycle,
 )
-from hopfseq.groups import PermGroup, alternating, subgroup_classes, symmetric
+from hopfseq.groups import CapExceeded, PermGroup, alternating, subgroup_classes, symmetric
 from hopfseq.perm import compose
 
-from helpers import nondegenerate_v4_cocycle
+from helpers import bilinear_cocycle, nondegenerate_v4_cocycle
 
 
 def all_cocycle_tables(T: PermGroup, N: int):
@@ -172,3 +173,50 @@ def test_paired_cocycles_normalized():
     G, Gamma = cyclic(2), cyclic(3)
     pc = trivial_paired_cocycles(G, Gamma, 4)
     assert pc.normalized(G, Gamma)
+
+
+def test_paired_cocycles_keep_only_their_nonzero_exponents():
+    G, Gamma = cyclic(2), cyclic(3)
+    x, s = G.elements[1], Gamma.elements[1]
+    pc = PairedCocycles(4, {(s, x, x): 5, (s, x, G.identity()): 8}, {(x, s, s): 0})
+    assert pc.sigma == {(s, x, x): 1} and pc.tau == {}
+    # a missing entry reads as 0
+    assert pc.sigma_at(s, x, G.identity()) == 0 and pc.tau_at(x, s, s) == 0
+    trivial = trivial_paired_cocycles(G, Gamma, 4)
+    assert trivial.sigma == {} and trivial.tau == {}
+
+
+def _identity_positions(G, Gamma):
+    """(sigma, tau) with one nonzero exponent at each position that
+    normalization makes 0."""
+    (eG, x), (eGamma, s) = G.elements, Gamma.elements[:2]
+    return {
+        "sigma_e(x, y)": ({(eGamma, x, x): 1}, {}),
+        "sigma_g(e, x)": ({(s, eG, x): 1}, {}),
+        "sigma_g(x, e)": ({(s, x, eG): 1}, {}),
+        "tau_e(s, t)": ({}, {(eG, s, s): 1}),
+        "tau_x(e, s)": ({}, {(x, eGamma, s): 1}),
+        "tau_x(s, e)": ({}, {(x, s, eGamma): 1}),
+    }
+
+
+@pytest.mark.parametrize("position", sorted(_identity_positions(cyclic(2), cyclic(3))))
+def test_normalized_refuses_an_exponent_at_each_identity_position(position):
+    G, Gamma = cyclic(2), cyclic(3)
+    sigma, tau = _identity_positions(G, Gamma)[position]
+    assert not PairedCocycles(4, sigma, tau).normalized(G, Gamma)
+    # an exponent that is 0 mod the conductor is no exponent at all
+    assert PairedCocycles(4, {k: 4 for k in sigma}, {k: 4 for k in tau}).normalized(G, Gamma)
+    # off the identities the same exponent is allowed
+    x, s = G.elements[1], Gamma.elements[1]
+    assert PairedCocycles(4, {(s, x, x): 1}, {(x, s, s): 1}).normalized(G, Gamma)
+
+
+def test_the_search_cap_is_a_cap_and_a_cocycle_error():
+    psi = trivial_cocycle(cyclic(18))
+    with pytest.raises(CocycleCapExceeded, match="^coboundary search capped at carrier order 16$"):
+        coboundary_search(psi)
+    with pytest.raises(CocycleError):
+        coboundary_search(psi)
+    with pytest.raises(CapExceeded):
+        coboundary_search(psi)

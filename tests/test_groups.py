@@ -31,7 +31,6 @@ from hopfseq import (
 from hopfseq import groups
 from hopfseq.groups import (
     abelian_invariants,
-    all_composition_factor_multisets,
     closure,
     commutator_subgroup,
     conjugacy_classes,
@@ -42,6 +41,8 @@ from hopfseq.groups import (
     walk,
 )
 from hopfseq.perm import compose, conjugate, inverse, parse_cycles, perm_order
+
+from helpers import all_composition_factor_multisets
 
 # Numeric content of the two subgroup tables: (iso, |T|, |T^|, [N:T]).
 A6_TABLE_ROWS = sorted([

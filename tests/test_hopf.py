@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -35,7 +36,12 @@ from hopfseq.io_formats import dump_hopf, load_group, load_hopf
 from hopfseq.matched import drinfeld_pair, from_factorization
 from hopfseq.perm import inverse, parse_cycles
 
-from helpers import antipode_invertible, antipode_is_antihomomorphism, structure_equal
+from helpers import (
+    antipode_invertible,
+    antipode_is_antihomomorphism,
+    carry_twisted_z2,
+    structure_equal,
+)
 from test_cli import S4_TIMES_S4
 from test_verifier_oracle import CASES as ORACLE_CASES
 
@@ -287,7 +293,7 @@ def test_a_nonzero_cocycle_exponent_is_weighed_by_the_conductor():
     Gamma = E.subgroup([parse_cycles(c, 8) for c in ("(5 6 7 8)", "(5 6)")])
     trivial = trivial_paired_cocycles(G, Gamma, 3)
     assert weighed_conductor(trivial, 3) == weighed_conductor(None, 3) == 1
-    key = next(iter(trivial.sigma))
+    key = (Gamma.identity(), G.identity(), G.identity())
     for exponent, weight in ((3, 1), (1, 3), (-1, 3)):
         cocycles = PairedCocycles(3, {**trivial.sigma, key: exponent}, trivial.tau)
         assert weighed_conductor(cocycles, 3) == weight
@@ -432,3 +438,15 @@ def test_nontrivial_cocycle_bicrossed_via_verifier():
     assert H.dim == 4
     split = bicrossed_product(mp, conductor=2)
     assert not structure_equal(H, split)
+
+
+def test_a_cocycle_pair_of_nonzero_exponents_dumps_as_its_dense_tables():
+    # the product above from sigma's one nonzero exponent and an empty tau:
+    # the dump is the one that the tables written out in full give, down to
+    # its sha256
+    mp, sparse = carry_twisted_z2()
+    _, dense = carry_twisted_z2(dense=True)
+    text = dump_hopf(bicrossed_product(mp, sparse, conductor=2))
+    assert text == dump_hopf(bicrossed_product(mp, dense, conductor=2))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "eca5ead177adcadcaa1a455349901d92e1b544fa071f1fa1c808bd05a0cd6b2f")

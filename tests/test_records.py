@@ -169,6 +169,9 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
         assert not after & {"fractions", "hopfseq.exact"}, argv
     # a dump is read and verified without the constructors' modules
     assert not loaded("verify", "hopf", str(ds3)) & {"hopfseq.cocycles", "hopfseq.matched"}
+    # the A6 certificate runs only on an A6 factor, and the series of
+    # vect[S5] reads no cocycle
+    assert not loaded("compseries", f"vec:{s5}") & {"hopfseq.certificates", "hopfseq.cocycles"}
     # the pivots its eliminations invert are 1 and -1, their own inverses
     assert "fractions" not in loaded("verify", "sequence", "double:s3")
     bare = _modules_after("pass")
