@@ -191,7 +191,6 @@ def _build_algebra(args):
         drinfeld_double,
         dual_group_algebra,
         group_algebra,
-        weighed_conductor,
     )
 
     if args.conductor < 1:
@@ -216,10 +215,9 @@ def _build_algebra(args):
     G = E.subgroup(gg)
     Gamma = E.subgroup(hg)
     # bicrossed_product checks this too, but only after from_factorization
-    # has built the pair; the CLI's products have trivial cocycles, which
-    # weighed_conductor does not weigh by the conductor
-    check_work(bicrossed_work(G.order, Gamma.order), G.order * Gamma.order,
-               weighed_conductor(None, args.conductor))
+    # has built the pair; the CLI's products have trivial cocycles, whose
+    # work is not weighed by the conductor
+    check_work(bicrossed_work(G.order, Gamma.order), G.order * Gamma.order, 1)
     return bicrossed_product(from_factorization(E, G, Gamma), conductor=args.conductor)
 
 

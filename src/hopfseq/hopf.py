@@ -8,11 +8,12 @@ A HopfAlgebra stores, over a fixed cyclotomic field:
     counit[i]   = scalar
     antipode[j] = sparse vector        S(e_j)
 
-Constructions: group algebra kG, its dual k^G, bicrossed products
-k^Gamma #(sigma,tau) kG over a matched pair, the Drinfeld double D(G),
-and duals.  The rows of mult hold only the nonzero products, in increasing
-j and k, with no zero coefficient; a cell or vector passed in that is
-already so is kept, not copied, and may be shared, so none is written.
+One assembly (_extension) builds every abelian extension k^Gamma #(sigma,tau)
+kG over a matched pair on the indices of two Cayley tables: the bicrossed
+products, D(G), and kG and k^G, its cases Gamma and G trivial.  The rows
+of mult hold only the nonzero products, in increasing j and k, with no
+zero coefficient; a cell or vector passed in that is already so is kept,
+not copied, and may be shared, so none is written.
 Axioms are verified exhaustively over basis tuples with zero tolerance;
 one walk checks unit and associativity on the rows of mult, and counit
 and coassociativity on those of the dual, the transpose of Delta.  The
@@ -32,12 +33,10 @@ report and its counts are the same whichever path ran.
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .cyclotomic import CycField, CycScalar, get_field
 from .groups import CapExceeded, PermGroup, _cayley, prime_factors
 from .linalg import Vec, add_term, solve_sparse_system, transpose
-from .perm import compose, cycle_string, inverse
+from .perm import cycle_string
 from .record import Frozen
 
 # verify_hopf_axioms evaluates only the instances that the nonzero products
@@ -54,15 +53,12 @@ HOPF_WORK_CAP = 30_326_616
 # 0.07 s for N <= 1000 (N = 900), but 1.1 s for N = 5040 and 5.1 s for
 # N = 10080.  Measured on 2 CPUs, Python 3.11.7.
 CONDUCTOR_CAP = 1_000
-# The cap counts n**2 * degree, the perm entries of the products kG once
-# composed; it now reads them off G's Cayley table (2 * |gens| * n perms)
-# with one cell per basis vector.  kZ311 (30.1 M) builds in 0.1 s
-# in-process (2.1 s composed), and S6 x Z2 on 8 points (order 1440, 16.6 M),
-# the slowest accepted build measured, in 1.5 s cold at 125 MB peak RSS
-# (10.3 s and 1.16 GB composed).  The value stays until the caps are
-# re-derived from what kG costs now; it keeps kZ311, the largest `quotient:`
-# target, and refuses kZ576 (191 M) and W(D5) on 10 points (order 1920,
-# 36.9 M).  Measured on 2 CPUs, Python 3.11.7.
+# The cap bounds kG alone, by n**2 * degree; kG reads its products off G's
+# Cayley table (2 * |gens| * n perms), and k^G, reading the same table, takes
+# only the work cap.  kZ311 (30.1 M), the largest `quotient:` target, builds
+# in 0.1 s in-process, S6 x Z2 on 8 points (order 1440, 16.6 M) in 1.5 s cold
+# at 125 MB peak RSS.  The value waits for the caps to be re-derived; it
+# refuses kZ576 (191 M) and W(D5) on 10 points (36.9 M).  2 CPUs, Python 3.11.7.
 GROUP_ALGEBRA_CAP = 31_000_000
 SOLVE_DIM_CAP = 12           # general antipode solve; closed forms above this
 MAX_REPORT = 1_000
@@ -556,14 +552,9 @@ def check_work(work: int, dim: int, conductor: int) -> None:
 
 def weighed_conductor(cocycles: PairedCocycles | None, conductor: int) -> int:
     """The conductor whose phi(N)**2 weighs a bicrossed product's work in
-    check_work: N when some sigma or tau exponent is nonzero mod N, else 1.
-    With trivial cocycles (None stands for them) every structure constant
-    is the field's zero or one, which _times passes through, so no product
-    of dense scalars is formed."""
-    if cocycles is None:
-        return 1
-    exponents = chain(cocycles.sigma.values(), cocycles.tau.values())
-    return conductor if any(v % cocycles.conductor % conductor for v in exponents) else 1
+    check_work: N when the pair stores an exponent, else 1, as every constant
+    of trivial cocycles is the field's 0 or 1, which _times passes through."""
+    return conductor if cocycles is not None and (cocycles.sigma or cocycles.tau) else 1
 
 
 def check_conductor(conductor: int) -> None:
@@ -604,8 +595,7 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
 
     # unknowns S[i, j]; equation rows indexed by (a, m)
     products = transpose(H.mult, dim)  # products[k][i] = e_i e_k
-    rows: dict = {}
-    rhs: dict = {}
+    rows, rhs = {}, {}
     for a in range(dim):
         for j, k, c in comult[a]:
             for i, cell in products[k].items():
@@ -614,18 +604,14 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
         for m, u in H.unit.items():
             rhs[(a, m)] = H.counit[a] * u
 
-    keys = sorted(set(rows) | set(rhs))
-    system = []
-    for key in keys:
-        system.append((rows.get(key, {}), rhs.get(key, field.zero)))
-
+    system = [(rows.get(key, {}), rhs.get(key, field.zero))
+              for key in sorted(set(rows) | set(rhs))]
     sol = solve_sparse_system(system, field)
     if sol is None:
         return None
     cols = [dict() for _ in range(dim)]
-    for (i, j), c in sol.items():
-        if not c.is_zero():
-            cols[j][i] = c
+    for (i, j), c in sol.items():  # the nonzero assignments
+        cols[j][i] = c
     return cols if passes(cols) else None
 
 
@@ -633,51 +619,80 @@ def solve_antipode(H: HopfAlgebra, candidate=None):
 # constructions
 
 
-def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
-    """kG: basis the group elements, every basis vector group-like.
+def _extension(mul, gmul, lt, rt, sigma: dict, tau: dict, field: CycField):
+    """The tensors of k^Gamma #(sigma,tau) kG, e_g # x numbered g * |G| + x:
+    mul and gmul are the Cayley rows of G and Gamma, lt[t][x] the index of
+    t |> x and rt[g][x] that of g <| x; sigma[(g, x)][y] and tau[(x, s, t)]
+    are the nonzero exponents e of sigma_g(x, y) and tau_x(s, t) = zeta_N^e.
 
-    The rows are G's Cayley table, with one cell {k: 1} per e_k, shared by
-    each e_i e_j = e_k, by S(e_g) = e_k where row g holds the identity (0)
-    and by the unit e_0.  The conductor cap and GROUP_ALGEBRA_CAP are
-    checked before the field and the table are built.  The work cap is
-    not: kG is built past what can be verified in full (the tests sample
-    kA6), so a caller that verifies it checks bicrossed_work(n, 1)."""
+        (e_g # x)(e_h # y) = delta_{g <| x, h} sigma_g(x, y) e_g # xy
+        Delta(e_g # x)     = sum_{st=g} tau_x(s, t) e_s # (t |> x) (x) e_t # x
+
+    Returns the rows (lazily), the unit, Delta, epsilon and the antipode of
+    trivial cocycles, S(e_g # x) = e_(g <| x)^-1 # (g |> x)^-1.  A product
+    or column of exponent 0 is the one shared cell {k: 1} of its target."""
+    n, m = len(mul), len(gmul)
+    one, zeta = field.one, field.zeta
+    basis = list(range(n * m))  # one int per index, shared by every row and term
+    keys = [basis[g * n:(g + 1) * n] for g in range(m)]  # keys[g][x]: e_g # x
+    cells = [{k: one} for k in basis]
+    inv, ginv = [row.index(0) for row in mul], [row.index(0) for row in gmul]
+
+    def rows():
+        for g, block in enumerate(keys):
+            at = cells[g * n:(g + 1) * n].__getitem__
+            for x, xy in enumerate(mul):
+                to = keys[rt[g][x]]
+                row = dict(zip(to, map(at, xy)))
+                for y, e in sigma.get((g, x), {}).items():
+                    row[to[y]] = {block[xy[y]]: zeta(e)}
+                yield row
+
+    splits = [[(s, gmul[si][g]) for s, si in enumerate(ginv)] for g in range(m)]  # st = g
+    comult = [[(keys[s][lt[t][x]], keys[t][x], one) for s, t in splits[g]]
+              for g in range(m) for x in range(n)]
+    for (x, s, t), e in tau.items():  # term s of Delta(e_st # x)
+        terms = comult[gmul[s][t] * n + x]
+        terms[s] = (*terms[s][:2], zeta(e))
+    unit = cells[0] if m == 1 else dict.fromkeys(basis[::n], one)
+    counit = [one] * n + [field.zero] * (n * m - n)
+    antipode = [cells[ginv[rt[g][x]] * n + inv[lt[g][x]]] for g in range(m) for x in range(n)]
+    return rows(), unit, comult, counit, antipode
+
+
+def group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
+    """kG, every basis vector group-like: the extension with Gamma trivial.
+    The conductor cap and GROUP_ALGEBRA_CAP are checked before the table is
+    built, the work cap not: kG is built past what can be verified in full
+    (the tests sample kA6), so a verifying caller checks bicrossed_work(n, 1)."""
     check_conductor(conductor)
     n = G.order
     if n * n * G.degree > GROUP_ALGEBRA_CAP:
         raise HopfCapExceeded(f"dimension {n}: {n * n * G.degree} perm entries composed on "
                               f"{G.degree} points exceed cap {GROUP_ALGEBRA_CAP}")
     field = get_field(conductor)
-    one = field.one
-    table = _cayley(G).mul
-    basis = list(range(n))  # one int per index, shared by the keys of every row
-    cells = [{k: one} for k in basis]
-    mult = (dict(zip(basis, map(cells.__getitem__, row))) for row in table)
-    comult = tuple(((i, i, one),) for i in basis)
-    counit = tuple(one for _ in basis)
-    antipode = tuple(cells[row.index(0)] for row in table)
-    return HopfAlgebra(field, [cycle_string(g) for g in G.elements], mult, cells[0],
-                       comult, counit, antipode)
+    tensors = _extension(_cayley(G).mul, [(0,)], [range(n)], [[0] * n], {}, {}, field)
+    return HopfAlgebra(field, [cycle_string(g) for g in G.elements], *tensors)
 
 
 def dual_group_algebra(G: PermGroup, conductor: int = 1) -> HopfAlgebra:
-    """k^G = (kG)*: orthogonal idempotents e_g, Delta(e_g) = sum_{st=g} e_s (x) e_t.
-    Both caps are checked before any table; every coefficient is one, so the
-    work is not weighed by the conductor."""
+    """k^G = (kG)*: orthogonal idempotents e_g, Delta(e_g) = sum_{st=g} e_s (x) e_t;
+    the extension with G trivial.  Both caps are checked before any table;
+    every coefficient is one, so the work is not weighed by the conductor."""
     check_conductor(conductor)
-    check_work(bicrossed_work(1, G.order), G.order, 1)
-    D = dual_hopf(group_algebra(G, conductor))
-    labels = [f"e[{cycle_string(g)}]" for g in G.elements]
-    return HopfAlgebra(D.field, labels, D.mult, D.unit, D.comult, D.counit, D.antipode)
+    n = G.order
+    check_work(bicrossed_work(1, n), n, 1)
+    field = get_field(conductor)
+    tensors = _extension([(0,)], _cayley(G).mul, [[0]] * n, [[g] for g in range(n)], {}, {}, field)
+    return HopfAlgebra(field, [f"e[{cycle_string(g)}]" for g in G.elements], *tensors)
 
 
 def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
                       conductor: int | None = None) -> HopfAlgebra:
-    """k^Gamma #(sigma,tau) kG on basis e_g # x.
+    """k^Gamma #(sigma,tau) kG on basis e_g # x (see _extension).
 
-        (e_g # x)(e_h # y) = delta_{g <| x, h} sigma_g(x, y) e_g # xy
-        Delta(e_g # x)     = sum_{st=g} tau_x(s, t) e_s # (t |> x) (x) e_t # x
-
+    The exponents of the pair, stored mod M = cocycles.conductor, are read
+    over Q(zeta_N), N = conductor, as zeta_N^(e N / M), so M must divide N.
     The pair (sigma, tau) is accepted exactly when the result passes full
     axiom verification; failures raise with the first failing instance.
     """
@@ -687,40 +702,32 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     dim = G.order * Gamma.order
     conductor = conductor or (1 if cocycles is None else cocycles.conductor)
     check_conductor(conductor)
+    if cocycles is not None and conductor % cocycles.conductor:
+        raise HopfError(f"cocycle exponents mod {cocycles.conductor} cannot be read "
+                        f"at conductor {conductor}, not a multiple of it")
     check_work(bicrossed_work(G.order, Gamma.order), dim, weighed_conductor(cocycles, conductor))
     if cocycles is None:
         cocycles = trivial_paired_cocycles(G, Gamma, conductor)
     if not cocycles.normalized(G, Gamma):
         raise HopfError("cocycle pair is not normalized")
     field = get_field(conductor)
-    one, zeta = field.one, field.zeta  # zeta(0) is one itself
     origin = BicrossedOrigin(mp, cocycles)
-    basis, pos = origin.basis(), origin.position
-    labels = [f"e[{cycle_string(g)}]#{cycle_string(x)}" for g, x in basis]
-
-    # e_g # x times e_h # y is nonzero only for h = g <| x
-    mult = ({pos(mp.ltri(g, x), y): {pos(g, compose(x, y)): zeta(cocycles.sigma_at(g, x, y))}
-             for y in G.elements} for g, x in basis)
-    eG, eGamma = G.identity(), Gamma.identity()
-    unit = {pos(g, eG): one for g in Gamma.elements}
-    comult = []
-    for g, x in basis:
-        terms = []
-        for s in Gamma.elements:
-            t = compose(inverse(s), g)
-            terms.append((pos(s, mp.rtri(t, x)), pos(t, x), zeta(cocycles.tau_at(x, s, t))))
-        comult.append(tuple(terms))
-    counit = tuple(one if g == eGamma else field.zero for g, x in basis)
-
+    x_at, g_at = G.element_index(), Gamma.element_index()
+    lt = [[x_at[mp.rtri(s, x)] for x in G.elements] for s in Gamma.elements]
+    rt = [[g_at[mp.ltri(s, x)] for x in G.elements] for s in Gamma.elements]
+    scale = conductor // cocycles.conductor
+    sigma: dict = {}
+    for (g, x, y), e in cocycles.sigma.items():
+        sigma.setdefault((g_at[g], x_at[x]), {})[x_at[y]] = e * scale
+    tau = {(x_at[x], g_at[s], g_at[t]): e * scale for (x, s, t), e in cocycles.tau.items()}
+    mult, unit, comult, counit, candidate = _extension(_cayley(G).mul, _cayley(Gamma).mul,
+                                                       lt, rt, sigma, tau, field)
+    labels = [f"e[{cycle_string(g)}]#{cycle_string(x)}" for g, x in origin.basis()]
     H = HopfAlgebra(field, labels, mult, unit, comult, counit, antipode=None, origin=origin)
-    pre = verify_hopf_axioms(H, include_antipode=False)
-    if not pre.ok:
-        raise HopfError(f"bialgebra axioms fail: {pre.violations[0]}")
+    if violations := verify_hopf_axioms(H, include_antipode=False).violations:
+        raise HopfError(f"bialgebra axioms fail: {violations[0]}")
 
-    # the closed form S(e_g # x) = e_(g <| x)^-1 # (g |> x)^-1 holds for
-    # trivial cocycles; solve_antipode falls through to the solve when not
-    candidate = [{pos(inverse(mp.ltri(g, x)), inverse(mp.rtri(g, x))): one}
-                 for g, x in basis]
+    # _extension's closed form holds for trivial cocycles; else this solves
     antipode = solve_antipode(H, candidate=candidate)
     if antipode is None:
         raise HopfError("bialgebra admits no antipode (sigma, tau incompatible)")

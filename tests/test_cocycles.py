@@ -45,6 +45,26 @@ def test_trivial_cocycle_validates():
     assert cocycle_class_trivial(symmetric(3), psi)
 
 
+def test_two_cocycle_keeps_only_its_nonzero_exponents():
+    # the carry cocycle of Z4 mod 2 (1 where a + b wraps past 4), written
+    # out in full with its zeros and sparse: one record either way
+    T = cyclic(4)
+    gen, p, k = T.generators[0], T.identity(), {}
+    for i in range(4):
+        k[p], p = i, compose(p, gen)
+    dense = {(a, b): int(k[a] + k[b] >= 4) for a in T.elements for b in T.elements}
+    sparse = {key: v for key, v in dense.items() if v}
+    psi, phi = TwoCocycle(T, 2, dense), TwoCocycle(T, 2, sparse)
+    assert psi == phi and psi.table == sparse
+    # the record holds a dict, so it does not hash; its table's items do
+    assert hash(frozenset(psi.table.items())) == hash(frozenset(phi.table.items()))
+    assert not psi.validate() and not psi.is_trivial_table()
+    # a missing entry reads as 0, and the trivial cocycle stores nothing
+    assert psi.value(T.identity(), gen) == 0
+    assert trivial_cocycle(T, 2).table == {}
+    assert TwoCocycle(T, 2, {(gen, gen): 2}).is_trivial_table()
+
+
 def test_nondegenerate_v4_cocycle():
     T = klein_four()
     psi = nondegenerate_v4_cocycle(T)

@@ -450,3 +450,21 @@ def test_a_cocycle_pair_of_nonzero_exponents_dumps_as_its_dense_tables():
     assert text == dump_hopf(bicrossed_product(mp, dense, conductor=2))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "eca5ead177adcadcaa1a455349901d92e1b544fa071f1fa1c808bd05a0cd6b2f")
+
+
+@pytest.mark.parametrize("conductor", [4, 6])
+def test_cocycle_exponents_are_read_at_their_own_conductor(conductor):
+    # sigma_s(x, x) is stored mod 2, so it is zeta_2 = -1 at every even
+    # conductor: (e_s # x)(e_s # x) = -e_s # 1
+    mp, cocycles = carry_twisted_z2()
+    H = bicrossed_product(mp, cocycles, conductor=conductor)
+    assert H.field.conductor == conductor and verify_hopf_axioms(H).ok
+    s, x = mp.Gamma.elements[1], mp.G.elements[1]
+    at = H.origin.position
+    assert H.mult[at(s, x)][at(s, x)] == {at(s, mp.G.identity()): -H.field.one}
+
+
+def test_cocycle_exponents_refuse_a_conductor_their_own_does_not_divide():
+    mp, cocycles = carry_twisted_z2()
+    with pytest.raises(HopfError, match=r"mod 2 cannot be read at conductor 3"):
+        bicrossed_product(mp, cocycles, conductor=3)
