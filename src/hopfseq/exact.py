@@ -53,7 +53,7 @@ from .linalg import (
     subspace_equal,
     transpose,
 )
-from .matched import MatchedPair, verify_compatibility
+from .matched import MatchedPair, trivial_pair, verify_compatibility
 from .record import Frozen
 
 
@@ -593,14 +593,13 @@ def _candidates_dual_form(H: HopfAlgebra, Gq: PermGroup, perms: list) -> list[No
 
 def _restricted_pair(mp: MatchedPair, Ngrp: PermGroup) -> MatchedPair | None:
     """Restrict the Gamma side of a matched pair to a normal subgroup N."""
-    nset = Ngrp.element_set()
-    for s in Ngrp.elements:
-        for x in mp.G.elements:
-            if mp.ltri(s, x) not in nset:
-                return None
-    left = {(s, x): mp.rtri(s, x) for s in Ngrp.elements for x in mp.G.elements}
-    right = {(s, x): mp.ltri(s, x) for s in Ngrp.elements for x in mp.G.elements}
-    sub = MatchedPair(G=mp.G, Gamma=Ngrp, left_action=left, right_action=right)
+    at, gs = mp.Gamma.element_index(), mp.Gamma.elements
+    n_at = Ngrp.element_index()
+    rows = [at[s] for s in Ngrp.elements]
+    rt = [[n_at.get(gs[t]) for t in mp.rt[r]] for r in rows]
+    if any(None in row for row in rt):
+        return None
+    sub = MatchedPair(mp.G, Ngrp, [mp.lt[r] for r in rows], rt)
     if not verify_compatibility(sub).valid:
         return None
     return sub
@@ -608,27 +607,22 @@ def _restricted_pair(mp: MatchedPair, Ngrp: PermGroup) -> MatchedPair | None:
 
 def _induced_pair(mp: MatchedPair, Mgrp: PermGroup) -> tuple[MatchedPair, dict] | None:
     """Quotient the G side by a normal, |>-stable M when <| is trivial."""
-    for s in mp.Gamma.elements:
-        for x in mp.G.elements:
-            if mp.ltri(s, x) != s:
-                return None
-    mset = Mgrp.element_set()
-    for s in mp.Gamma.elements:
-        for m in Mgrp.elements:
-            if mp.rtri(s, m) not in mset:
-                return None
+    if mp.rt != trivial_pair(mp.G, mp.Gamma).rt:
+        return None
+    ms = {mp.G.element_index()[m] for m in Mgrp.elements}
+    if any(row[m] not in ms for row in mp.lt for m in ms):
+        return None
     Q, proj = quotient_group(mp.G, Mgrp)
-    left: dict = {}
-    for s in mp.Gamma.elements:
+    q_at = Q.element_index()
+    coset = [q_at[proj[x]] for x in mp.G.elements]
+    lt = []
+    for row in mp.lt:
         seen: dict = {}
-        for x in mp.G.elements:
-            key = (s, proj[x])
-            val = proj[mp.rtri(s, x)]
-            if seen.setdefault(key, val) != val:
+        for q, y in zip(coset, row):
+            if seen.setdefault(q, coset[y]) != coset[y]:
                 return None
-        left.update(seen)
-    right = {(s, q): s for s in mp.Gamma.elements for q in Q.elements}
-    ind = MatchedPair(G=Q, Gamma=mp.Gamma, left_action=left, right_action=right)
+        lt.append([seen[q] for q in range(Q.order)])
+    ind = MatchedPair(Q, mp.Gamma, lt, trivial_pair(Q, mp.Gamma).rt)
     if not verify_compatibility(ind).valid:
         return None
     return ind, proj

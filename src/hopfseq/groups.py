@@ -872,14 +872,19 @@ class ExactFactorizationG:
         self.right = right
 
     def verify(self) -> bool:
-        """|A||B| = |G|, trivial intersection, product map bijective."""
+        """|A||B| = |G| and the product map bijective, so A meets B trivially."""
+        return self.refactor() is not None
+
+    def refactor(self) -> dict | None:
+        """{ab: (i, j)} over a = A.elements[i] and b = B.elements[j] when the
+        |A||B| = |G| products are the elements of G, each once; else None."""
         A, B, G = self.left, self.right, self.ambient
         if A.order * B.order != G.order:
-            return False
-        if len(A.element_set() & B.element_set()) != 1:
-            return False
-        products = {compose(a, b) for a in A.elements for b in B.elements}
-        return products == set(G.elements)
+            return None
+        products = {compose(a, b): (i, j) for i, a in enumerate(A.elements)
+                    for j, b in enumerate(B.elements)}
+        exact = len(products) == G.order and products.keys() <= G.element_set()
+        return products if exact else None
 
     def labels(self) -> tuple[str, str]:
         return (iso_label(self.left), iso_label(self.right))

@@ -110,7 +110,12 @@ class HopfAlgebra:
         self.field = field
         self.dim = len(basis_labels)
         self.basis_labels = tuple(basis_labels)
-        self.mult = tuple({j: cell for j, c in sorted(row.items()) if (cell := _nonzero(c))}
+        # id(cell) -> (cell, its clean form): a cell shared by many products
+        # is read once, and is held so that its id is not reused
+        clean: dict = {}
+        self.mult = tuple({j: cell for j, c in sorted(row.items())
+                           if (cell := (clean.get(id(c))
+                                        or clean.setdefault(id(c), (c, _nonzero(c))))[1])}
                           for row in mult)
         self.unit = _nonzero(unit)
         self.comult = tuple(tuple(terms) for terms in comult)
@@ -713,15 +718,13 @@ def bicrossed_product(mp: MatchedPair, cocycles: PairedCocycles | None = None,
     field = get_field(conductor)
     origin = BicrossedOrigin(mp, cocycles)
     x_at, g_at = G.element_index(), Gamma.element_index()
-    lt = [[x_at[mp.rtri(s, x)] for x in G.elements] for s in Gamma.elements]
-    rt = [[g_at[mp.ltri(s, x)] for x in G.elements] for s in Gamma.elements]
     scale = conductor // cocycles.conductor
     sigma: dict = {}
     for (g, x, y), e in cocycles.sigma.items():
         sigma.setdefault((g_at[g], x_at[x]), {})[x_at[y]] = e * scale
     tau = {(x_at[x], g_at[s], g_at[t]): e * scale for (x, s, t), e in cocycles.tau.items()}
     mult, unit, comult, counit, candidate = _extension(_cayley(G).mul, _cayley(Gamma).mul,
-                                                       lt, rt, sigma, tau, field)
+                                                       mp.lt, mp.rt, sigma, tau, field)
     labels = [f"e[{cycle_string(g)}]#{cycle_string(x)}" for g, x in origin.basis()]
     H = HopfAlgebra(field, labels, mult, unit, comult, counit, antipode=None, origin=origin)
     if violations := verify_hopf_axioms(H, include_antipode=False).violations:

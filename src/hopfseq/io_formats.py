@@ -71,13 +71,10 @@ def load_group(text: str, name: str = "", cap: int = ORDER_CAP) -> PermGroup:
 
 def dump_matched_pair(mp: MatchedPair) -> str:
     out = ["[G]", dump_group(mp.G).rstrip(), "[GAMMA]", dump_group(mp.Gamma).rstrip()]
-    gx, gam = mp.G.element_index(), mp.Gamma.element_index()
     out.append("[TRIANGLE_LEFT]")
-    for s in mp.Gamma.elements:
-        out.append(" ".join(str(gx[mp.rtri(s, x)]) for x in mp.G.elements))
+    out += [" ".join(map(str, row)) for row in mp.lt]
     out.append("[TRIANGLE_RIGHT]")
-    for s in mp.Gamma.elements:
-        out.append(" ".join(str(gam[mp.ltri(s, x)]) for x in mp.G.elements))
+    out += [" ".join(map(str, row)) for row in mp.rt]
     return "\n".join(out) + "\n"
 
 
@@ -102,23 +99,26 @@ def load_matched_pair(text: str) -> MatchedPair:
             raise FormatError(f"missing section [{needed}]")
     G = load_group("\n".join(ln for _, ln in sections["G"]))
     Gamma = load_group("\n".join(ln for _, ln in sections["GAMMA"]))
-    left = {}
-    right = {}
-    for section, table, codomain in (("TRIANGLE_LEFT", left, G.elements),
-                                     ("TRIANGLE_RIGHT", right, Gamma.elements)):
+    tables = []
+    for section, order in (("TRIANGLE_LEFT", G.order), ("TRIANGLE_RIGHT", Gamma.order)):
         rows = sections[section]
         if len(rows) != Gamma.order:
             raise FormatError(f"[{section}] needs {Gamma.order} rows", rows[0][0] if rows else None)
-        for s, (lno, ln) in zip(Gamma.elements, rows):
+        table = []
+        for lno, ln in rows:
             cells = ln.split()
             if len(cells) != G.order:
                 raise FormatError(f"row needs {G.order} entries", lno)
-            for x, cell in zip(G.elements, cells):
-                try:
-                    table[(s, x)] = codomain[int(cell)]
-                except (ValueError, IndexError) as exc:
-                    raise FormatError(f"bad index {cell!r}", lno) from exc
-    return MatchedPair(G=G, Gamma=Gamma, left_action=left, right_action=right)
+            row = []
+            for cell in cells:
+                digits = cell.lstrip("0") or "0"
+                # by length first: int() refuses more than 4300 digits
+                if not (cell.isdecimal() and len(digits) <= len(str(order)) and int(digits) < order):
+                    raise FormatError(f"bad index {cell!r}", lno)
+                row.append(int(digits))
+            table.append(row)
+        tables.append(table)
+    return MatchedPair(G, Gamma, *tables)
 
 
 # ---------------------------------------------------------------------------
